@@ -14,6 +14,7 @@ __version__ = "1.0.0"
 from .exact import GaussianRational, MultiPoly, PolyMatrix, ScalarMatrix
 from .groebner import (
     GroebnerBasis,
+    MacaulayBudgetExceeded,
     TermOrder,
     buchberger_ideal,
     module_member_with_coeffs,

@@ -1,7 +1,8 @@
 """Decision procedures and certificate constructions for operator symbols.
 
 Everything here is exact: ranks and kernels over Q / Q(i), vanishing of
-minor ideals over C decided by Groebner bases, and every certificate
+minor ideals over C decided by a Macaulay matrix rank, module membership
+by a Groebner basis, and every certificate
 (factorization, annihilator, projection identity, polynomial lift)
 re-verified by exact expansion before it is returned.
 """
@@ -26,7 +27,7 @@ from .exact import (
     reduce_basis,
     subspace_intersect,
 )
-from .groebner import TermOrder, module_member_with_coeffs, zero_dim_origin
+from .groebner import GroebnerBasis, TermOrder, zero_dim_origin
 from .operators import DiffOp, OperatorPair, compose, grad_power, ordered_tuples
 
 CERTIFIED_YES = "CERTIFIED_YES"
@@ -168,13 +169,11 @@ class WAnnihilationResult:
 
 def _sphere_like_grid(N: int, radius: int):
     """Deterministic nonzero integer points with coordinates in [-r, r],
-    ordered by max-norm shell (sparse points first)."""
-    pts = []
+    ordered by max-norm shell (sparse points first), generated lazily."""
     for shell in range(1, radius + 1):
         for p in itertools.product(range(-shell, shell + 1), repeat=N):
             if max(abs(c) for c in p) == shell:
-                pts.append(p)
-    return pts
+                yield p
 
 
 def _random_int_point(rng: random.Random, N: int, radius: int):
@@ -292,7 +291,7 @@ def is_elliptic(op: DiffOp, field: str, *, seed: int = 0) -> EllipticVerdict:
         return EllipticVerdict("R", True, CERTIFIED_YES)
     if not d_minors:
         # generic rank < d: rank drops at every real point
-        point = tuple(Fraction(c) for c in _sphere_like_grid(op.N, 1)[0])
+        point = tuple(Fraction(c) for c in next(_sphere_like_grid(op.N, 1)))
         return EllipticVerdict("R", False, CERTIFIED_NO, witness=point)
     status, witness = _real_constant_rank(
         sym, op.d, d_minors, REAL_SAMPLE_BUDGET, seed
@@ -412,7 +411,8 @@ def construct_L(
     """Smallest s <= s_max with D^s o A = L o calA, plus the operator L.
 
     The rows of L are module-membership coefficients of the rows
-    xi^b * A_i[xi] in the row module of the symbol of calA.
+    xi^b * A_i[xi] in the row module of the symbol of calA, all reduced by
+    one Groebner basis of that module.
     """
     verdict = kernel_inclusion(pair, seed=seed)
     if not verdict.holds:
@@ -427,10 +427,10 @@ def construct_L(
         if not all(p.is_zero for p in row):
             gens.append(row)
             gen_rows.append(i)
-    order = TermOrder("grevlex")
+    basis = GroebnerBasis(gens, TermOrder("grevlex"))
     sym_A = A.symbol()
     for s in range(0, s_max + 1):
-        coeff_rows = _try_factor_at_s(sym_A, gens, s, N, order)
+        coeff_rows = _try_factor_at_s(sym_A, basis, s, N)
         if coeff_rows is None:
             continue
         L = _assemble_L(pair, coeff_rows, gen_rows, s)
@@ -442,8 +442,9 @@ def construct_L(
     raise SMaxExceeded(s_max)
 
 
-def _try_factor_at_s(sym_A, gens, s, N, order):
+def _try_factor_at_s(sym_A, basis, s, N):
     """Membership coefficients for every row xi^b A_i, or None."""
+    gens = basis.input_gens
     k_gen = next(
         p.homogeneous_degree() for g in gens for p in g if not p.is_zero
     )
@@ -455,7 +456,7 @@ def _try_factor_at_s(sym_A, gens, s, N, order):
         mono = MultiPoly.monomial(N, tuple(exp))
         for i in range(sym_A.rows):
             target = tuple(mono * p for p in sym_A.entries[i])
-            coeffs = module_member_with_coeffs(target, gens, order)
+            coeffs = basis.express(target)
             if coeffs is None:
                 return None
             target_deg = None
@@ -525,7 +526,7 @@ def compute_W(
     sym = op.symbol()
     rng = random.Random(seed)
     l = op.l
-    grid = iter(_sphere_like_grid(op.N, 2))
+    grid = _sphere_like_grid(op.N, 2)
 
     def next_point():
         for p in grid:

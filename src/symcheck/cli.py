@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from . import __version__
 from .exact import GaussianRational, MultiPoly
+from .groebner import MacaulayBudgetExceeded
 from .operators import (
     DiffOp,
     OperatorFormatError,
@@ -442,6 +443,9 @@ def main(argv=None) -> int:
     except OperatorFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MacaulayBudgetExceeded as exc:
+        print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except json.JSONDecodeError as exc:
         print(f"input error: malformed JSON ({exc})", file=sys.stderr)
         return EXIT_INPUT

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
 from typing import Iterable, Sequence
 
 
@@ -141,10 +140,6 @@ Scalar = object
 
 def _is_zero(c) -> bool:
     return not c if isinstance(c, GaussianRational) else c == 0
-
-
-def monomial_degree(alpha: Sequence[int]) -> int:
-    return sum(alpha)
 
 
 def monomials_of_degree(nvars: int, deg: int) -> list[tuple[int, ...]]:
@@ -411,6 +406,60 @@ def grevlex_key(exp: tuple[int, ...]):
 
 
 # ---------------------------------------------------------------------------
+# Sparse exact elimination
+# ---------------------------------------------------------------------------
+
+
+def forward_eliminate(rows: Iterable[dict], ncols: int) -> dict[int, dict]:
+    """Row echelon form of sparse rows over Q or Q(i).
+
+    A row maps column indices to nonzero scalars.  Returns the pivot rows
+    keyed by their pivot column: each is scaled to 1 at its pivot and has no
+    entry left of it.  The pivot columns are those of the reduced row
+    echelon form, so their number is the rank.  Rows are consumed lazily,
+    reduced in place, and the pass stops as soon as every column has a pivot.
+    """
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            p = pivots.get(c)
+            if p is None:
+                inv = 1 / row[c]
+                pivots[c] = {j: v * inv for j, v in row.items()}
+                break
+            _subtract_multiple(row, row[c], p)
+        if len(pivots) == ncols:
+            break
+    return pivots
+
+
+def back_substitute(pivots: dict[int, dict]) -> dict[int, dict]:
+    """Turn the output of forward_eliminate into the reduced row echelon
+    form, in place: no pivot row keeps an entry in another pivot column."""
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for j in [j for j in row if j != c and j in pivots]:
+            # pivots[j] is already reduced, so this clears column j of row
+            # and touches no other pivot column
+            _subtract_multiple(row, row[j], pivots[j])
+    return pivots
+
+
+def _subtract_multiple(row: dict, f, pivot_row: dict) -> None:
+    """row -= f * pivot_row, in place, dropping entries that cancel."""
+    for j, v in pivot_row.items():
+        if j in row:
+            x = row[j] - f * v
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+        else:
+            row[j] = -(f * v)
+
+
+# ---------------------------------------------------------------------------
 # Exact matrices over Q / Q(i)
 # ---------------------------------------------------------------------------
 
@@ -508,51 +557,24 @@ class ScalarMatrix:
 
     # -- elimination ----------------------------------------------------
 
-    def _echelon(self):
-        """Row echelon form with exact field arithmetic.
-
-        Returns (list of rows, pivot column list).  Forward elimination is
-        fraction-free in the sense that every update is an exact field
-        operation; no rounding occurs anywhere.
-        """
-        m = [list(row) for row in self.entries]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot_row = None
-            for i in range(r, self.rows):
-                if not _is_zero(m[i][c]):
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            pv = m[r][c]
-            m[r] = [x / pv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and not _is_zero(m[i][c]):
-                    f = m[i][c]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return m, pivots
+    def _sparse_rows(self) -> list[dict]:
+        return [{j: c for j, c in enumerate(row) if c} for row in self.entries]
 
     def rank(self) -> int:
-        return len(self._echelon()[1])
+        return len(forward_eliminate(self._sparse_rows(), self.cols))
 
     def kernel_basis(self) -> list[tuple]:
         """Exact basis of the right kernel; len = cols - rank."""
-        m, pivots = self._echelon()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
+        rref = back_substitute(forward_eliminate(self._sparse_rows(), self.cols))
         basis = []
-        for fc in free:
+        for fc in range(self.cols):
+            if fc in rref:
+                continue
             v = [Fraction(0)] * self.cols
             v[fc] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -m[r][fc]
+            for pc, row in rref.items():
+                if fc in row:
+                    v[pc] = -row[fc]
             basis.append(tuple(v))
         return basis
 
@@ -560,23 +582,25 @@ class ScalarMatrix:
         """One exact solution of self @ x = rhs, or None if infeasible."""
         if len(rhs) != self.rows:
             raise ValueError("rhs dimension mismatch")
-        aug = ScalarMatrix(
-            [list(row) + [b] for row, b in zip(self.entries, rhs)]
-        )
-        m, pivots = aug._echelon()
-        for r, pc in enumerate(pivots):
-            if pc == self.cols:
-                return None  # pivot in the rhs column: inconsistent
-        x = [Fraction(0)] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = m[r][self.cols]
+        n = self.cols
+        rows = self._sparse_rows()
+        for row, b in zip(rows, rhs):
+            if b:
+                row[n] = Fraction(b) if isinstance(b, int) else b
+        rref = back_substitute(forward_eliminate(rows, n + 1))
+        if n in rref:
+            return None  # pivot in the rhs column: inconsistent
+        x = [Fraction(0)] * n
+        for pc, row in rref.items():
+            if n in row:
+                x[pc] = row[n]
         return tuple(x)
 
     def column_space_basis(self) -> list[tuple]:
         """Basis of the column span, as vectors in the row-count dimension."""
-        _, pivots = self._echelon()
+        pivots = forward_eliminate(self._sparse_rows(), self.cols)
         cols = list(zip(*self.entries))
-        return [tuple(cols[c]) for c in pivots]
+        return [tuple(cols[c]) for c in sorted(pivots)]
 
     def det(self):
         """Determinant by fraction-free (Bareiss) elimination."""
@@ -641,8 +665,8 @@ def reduce_basis(vectors: Sequence[Sequence], dim: int) -> list[tuple]:
     mat = ScalarMatrix.from_columns(vecs) if len(vecs[0]) == dim else None
     if mat is None:
         raise ValueError("ambient dimension mismatch")
-    _, pivots = mat._echelon()
-    return [vecs[c] for c in pivots]
+    pivots = forward_eliminate(mat._sparse_rows(), mat.cols)
+    return [vecs[c] for c in sorted(pivots)]
 
 
 def subspace_intersect(U: Sequence[Sequence], V: Sequence[Sequence], dim: int) -> list[tuple]:
@@ -874,7 +898,3 @@ class PolyMatrix:
 
     def __repr__(self):
         return f"PolyMatrix({self.rows}x{self.cols})"
-
-
-def binom(n: int, k: int) -> int:
-    return comb(n, k)

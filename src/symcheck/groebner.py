@@ -1,19 +1,45 @@
-"""Buchberger engine for ideals and free-module submodules over Q.
+"""Buchberger engine for ideals and free-module submodules over Q, and the
+origin-only test for homogeneous ideals.
 
 Module elements are tuples of MultiPoly (rank-m free module over the
 polynomial ring); ideals are the rank-1 case.  Every basis tracks exact
 representation coefficients in terms of the original generators, so that
-membership certificates come out of the reduction itself.
+membership certificates come out of the reduction itself.  The origin-only
+test needs no Groebner basis: `zero_dim_origin` decides it by the rank of
+one Macaulay matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Optional, Sequence
 
-from .exact import MultiPoly, grevlex_key, grlex_key
+from .exact import (
+    MultiPoly,
+    forward_eliminate,
+    grevlex_key,
+    grlex_key,
+    monomials_of_degree,
+)
 
 ModuleElement = tuple  # tuple[MultiPoly, ...]
+
+# Widest Macaulay matrix zero_dim_origin builds; past it the origin test
+# raises MacaulayBudgetExceeded (the command line exits 3).
+MACAULAY_MAX_COLUMNS = 2000
+
+
+class MacaulayBudgetExceeded(Exception):
+    """The origin-only test would need a Macaulay matrix with more than
+    MACAULAY_MAX_COLUMNS columns."""
+
+    def __init__(self, columns: int):
+        super().__init__(
+            f"origin test needs a Macaulay matrix with {columns} columns "
+            f"(budget {MACAULAY_MAX_COLUMNS})"
+        )
+        self.columns = columns
 
 
 class TermOrder:
@@ -93,49 +119,55 @@ class GroebnerBasis:
         self.input_gens = list(gens)
         self.generators: list[ModuleElement] = []
         self.reps: list[list[MultiPoly]] = []
-        self.reduced = False
         self._buchberger()
         self._autoreduce()
-        self.reduced = True
 
     # -- construction ----------------------------------------------------
 
-    def _reduce_full(self, f: ModuleElement, rep: list[MultiPoly], basis, reps):
-        """Fully reduce f modulo basis, updating its representation.
+    def _divide(self, f: ModuleElement, basis):
+        """Division of f by `basis` (first divisor wins).
 
-        Returns the remainder (no term of which is divisible by any leading
-        term of the basis) and its representation.
+        Returns the remainder, no term of which is divisible by a leading
+        term of the basis, and quotients q_i with
+        f = sum q_i * basis[i] + remainder.
         """
         order = self.order
-        rem = tuple(MultiPoly.zero(self.nvars) for _ in range(self.rank))
+        leads = [_leading_term(g, order) for g in basis]
+        zero = MultiPoly.zero(self.nvars)
+        quots = [zero] * len(basis)
+        rem = (zero,) * self.rank
         work = f
-        rep = list(rep)
         while not _is_zero_elt(work):
-            lt, lc = _leading_term(work, order)
-            pos, exp = lt
-            hit = None
-            for i, g in enumerate(basis):
-                glt, glc = _leading_term(g, order)
-                if glt[0] == pos and _divides(glt[1], exp):
-                    hit = (i, glt, glc)
-                    break
+            (pos, exp), lc = _leading_term(work, order)
+            hit = next(
+                (
+                    i
+                    for i, ((gpos, gexp), _) in enumerate(leads)
+                    if gpos == pos and _divides(gexp, exp)
+                ),
+                None,
+            )
             if hit is None:
-                # move leading term to the remainder
+                # move the leading term to the remainder
                 mono = MultiPoly.monomial(self.nvars, exp, lc)
-                rem = tuple(
-                    r + mono if j == pos else r for j, r in enumerate(rem)
-                )
-                work = tuple(
-                    w - mono if j == pos else w for j, w in enumerate(work)
-                )
+                rem = tuple(r + mono if j == pos else r for j, r in enumerate(rem))
+                work = tuple(w - mono if j == pos else w for j, w in enumerate(work))
                 continue
-            i, glt, glc = hit
-            qexp = tuple(a - b for a, b in zip(exp, glt[1]))
-            qc = lc / glc
-            work = _sub(work, _mono_mul(basis[i], qexp, qc))
-            qpoly = MultiPoly.monomial(self.nvars, qexp, qc)
-            rep = [r - qpoly * gr for r, gr in zip(rep, reps[i])]
-        return rem, rep
+            (_, gexp), gc = leads[hit]
+            qexp = tuple(a - b for a, b in zip(exp, gexp))
+            qc = lc / gc
+            quots[hit] = quots[hit] + MultiPoly.monomial(self.nvars, qexp, qc)
+            work = _sub(work, _mono_mul(basis[hit], qexp, qc))
+        return rem, quots
+
+    def _reduce_full(self, f: ModuleElement, rep: list[MultiPoly], basis, reps):
+        """Remainder of f modulo basis, with its representation: rep minus
+        the quotients applied to the basis elements' representations."""
+        rem, quots = self._divide(f, basis)
+        for q, qrep in zip(quots, reps):
+            if not q.is_zero:
+                rep = [r - q * gr for r, gr in zip(rep, qrep)]
+        return rem, list(rep)
 
     def _buchberger(self):
         n_in = len(self.input_gens)
@@ -227,32 +259,28 @@ class GroebnerBasis:
         f = tuple(f)
         if len(f) != self.rank:
             raise ValueError("module rank mismatch")
-        nq = len(self.generators)
-        quots = [MultiPoly.zero(self.nvars) for _ in range(nq)]
-        rem = tuple(MultiPoly.zero(self.nvars) for _ in range(self.rank))
-        work = f
-        while not _is_zero_elt(work):
-            lt, lc = _leading_term(work, self.order)
-            pos, exp = lt
-            hit = None
-            for i, g in enumerate(self.generators):
-                glt, glc = _leading_term(g, self.order)
-                if glt[0] == pos and _divides(glt[1], exp):
-                    hit = (i, glt, glc)
-                    break
-            if hit is None:
-                mono = MultiPoly.monomial(self.nvars, exp, lc)
-                rem = tuple(r + mono if j == pos else r for j, r in enumerate(rem))
-                work = tuple(w - mono if j == pos else w for j, w in enumerate(work))
-                continue
-            i, glt, glc = hit
-            qexp = tuple(a - b for a, b in zip(exp, glt[1]))
-            qc = lc / glc
-            quots[i] = quots[i] + MultiPoly.monomial(self.nvars, qexp, qc)
-            work = _sub(work, _mono_mul(self.generators[i], qexp, qc))
+        rem, quots = self._divide(f, self.generators)
         if with_quotients:
             return rem, quots
         return rem
+
+    def express(self, target: ModuleElement):
+        """Coefficients q_1..q_n with target = sum q_j * input_gens[j], or
+        None if target is not in the module; re-verified by exact expansion."""
+        rem, quots = self.normal_form(target, with_quotients=True)
+        if not _is_zero_elt(rem):
+            return None
+        nv = self.nvars
+        coeffs = [MultiPoly.zero(nv) for _ in self.input_gens]
+        for q, rep in zip(quots, self.reps):
+            if not q.is_zero:
+                coeffs = [c + q * r for c, r in zip(coeffs, rep)]
+        acc = tuple(MultiPoly.zero(nv) for _ in range(self.rank))
+        for c, g in zip(coeffs, self.input_gens):
+            acc = tuple(a + c * p for a, p in zip(acc, g))
+        if acc != tuple(target):
+            raise AssertionError("representation tracking produced a wrong identity")
+        return coeffs
 
     def contains(self, f: ModuleElement) -> bool:
         return _is_zero_elt(self.normal_form(f))
@@ -298,27 +326,45 @@ def normal_form_ideal(f: MultiPoly, G: GroebnerBasis) -> MultiPoly:
 def zero_dim_origin(gens: Sequence[MultiPoly]) -> bool:
     """True iff the homogeneous system has no common complex zero but 0.
 
-    Criterion: the reduced Groebner basis' leading terms contain a pure
-    power of every variable.
+    Macaulay's degree bound: let M be the largest generator degree and
+    D = N(M-1)+1.  An ideal generated by forms of degree <= M whose only
+    zero is the origin contains every form of degree D, and conversely
+    x_i^D in I leaves only the origin.  So the answer is whether the
+    products x^c g of degree D span all monomials of degree D, the full
+    column rank of one sparse Macaulay matrix.  (Multiplying a generator of
+    lower degree up to M first spans the same rows.)
+
+    Two exact answers come before any enumeration: fewer than N generators
+    cut out a positive-dimensional cone (Krull's height bound), and fewer
+    rows than columns cannot have full column rank.  A matrix wider than
+    MACAULAY_MAX_COLUMNS raises MacaulayBudgetExceeded.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return False
+    degrees = [g.homogeneous_degree() for g in gens]
+    if None in degrees:
+        raise ValueError("zero_dim_origin requires homogeneous generators")
     nvars = gens[0].nvars
-    for g in gens:
-        if g.homogeneous_degree() is None:
-            raise ValueError("zero_dim_origin requires homogeneous generators")
-    if nvars == 0:
-        return True
-    G = buchberger_ideal(gens, TermOrder("grevlex"))
-    covered = set()
-    for _, exp in G.leading_exponents():
-        support = [i for i, e in enumerate(exp) if e]
-        if len(support) == 1:
-            covered.add(support[0])
-        elif len(support) == 0:
-            return True  # unit ideal
-    return covered == set(range(nvars))
+    if nvars == 0 or 0 in degrees:
+        return True  # a nonzero constant generates the unit ideal
+    if len(gens) < nvars:
+        return False
+    D = nvars * (max(degrees) - 1) + 1
+    ncols = comb(D + nvars - 1, nvars - 1)
+    if sum(comb(D - d + nvars - 1, nvars - 1) for d in degrees) < ncols:
+        return False
+    if ncols > MACAULAY_MAX_COLUMNS:
+        raise MacaulayBudgetExceeded(ncols)
+    # grevlex-descending columns: the elimination fills in less than in lex
+    monomials = sorted(monomials_of_degree(nvars, D), key=grevlex_key, reverse=True)
+    column = {m: j for j, m in enumerate(monomials)}
+    rows = (
+        {column[tuple(a + b for a, b in zip(c, e))]: v for e, v in g.terms.items()}
+        for g, d in zip(gens, degrees)
+        for c in monomials_of_degree(nvars, D - d)
+    )
+    return len(forward_eliminate(rows, ncols)) == ncols
 
 
 def module_member_with_coeffs(
@@ -329,23 +375,7 @@ def module_member_with_coeffs(
     """Express `target` in the module generated by `gens`, or return None.
 
     On success returns polynomials q_1..q_n with target = sum q_j * gens[j],
-    re-verified by exact expansion.
+    re-verified by exact expansion.  To test several targets against the
+    same generators, build one GroebnerBasis and call its `express`.
     """
-    order = order or TermOrder("grevlex")
-    G = GroebnerBasis(gens, order)
-    rem, quots = G.normal_form(tuple(target), with_quotients=True)
-    if not _is_zero_elt(rem):
-        return None
-    n_in = len(G.input_gens)
-    nv = G.nvars
-    coeffs = [MultiPoly.zero(nv) for _ in range(n_in)]
-    for q, rep in zip(quots, G.reps):
-        for j in range(n_in):
-            coeffs[j] = coeffs[j] + q * rep[j]
-    # exact re-verification of the representation
-    acc = tuple(MultiPoly.zero(nv) for _ in range(G.rank))
-    for c, g in zip(coeffs, G.input_gens):
-        acc = tuple(a + c * p for a, p in zip(acc, g))
-    if tuple(acc) != tuple(target):
-        raise AssertionError("representation tracking produced a wrong identity")
-    return coeffs
+    return GroebnerBasis(gens, order or TermOrder("grevlex")).express(target)

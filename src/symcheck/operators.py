@@ -78,6 +78,8 @@ class DiffOp:
             weights = tuple(Fraction(w) if isinstance(w, int) else w for w in weights)
             if len(weights) != l:
                 raise OperatorFormatError("weights length must equal l")
+            if any(w < 0 for w in weights):
+                raise OperatorFormatError("weights must be nonnegative: they define a norm")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_symbol", None)
 
@@ -447,18 +449,36 @@ def op_from_dict(data: dict) -> DiffOp:
             raise OperatorFormatError(f"{field} must be a positive integer")
     if not isinstance(k, int) or k < 0:
         raise OperatorFormatError("k must be a nonnegative integer")
+    if not isinstance(data["terms"], list):
+        raise OperatorFormatError("terms must be a list of {alpha, matrix} objects")
     terms = {}
-    for entry in data["terms"]:
-        alpha = tuple(entry["alpha"])
-        matrix = [
-            [_fraction_from_str(c) for c in row] for row in entry["matrix"]
-        ]
+    for i, entry in enumerate(data["terms"]):
+        if not isinstance(entry, dict):
+            raise OperatorFormatError(f"terms[{i}] must be an object with alpha and matrix")
+        for field in ("alpha", "matrix"):
+            if field not in entry:
+                raise OperatorFormatError(f"terms[{i}] has no field {field!r}")
+        alpha = entry["alpha"]
+        if not isinstance(alpha, list) or not all(isinstance(a, int) for a in alpha):
+            raise OperatorFormatError(f"terms[{i}].alpha must be a list of integers")
+        alpha = tuple(alpha)
+        matrix = entry["matrix"]
+        if not isinstance(matrix, list) or not all(
+            isinstance(row, list) and all(isinstance(c, str) for c in row)
+            for row in matrix
+        ):
+            raise OperatorFormatError(
+                f"terms[{i}].matrix must be a list of rows of rational strings "
+                "such as \"-1/2\""
+            )
         if alpha in terms:
             raise OperatorFormatError(f"duplicate multi-index {alpha}")
-        terms[alpha] = matrix
-    weights = None
-    if "weights" in data and data["weights"] is not None:
-        weights = [_fraction_from_str(w) for w in data["weights"]]
+        terms[alpha] = [[_fraction_from_str(c) for c in row] for row in matrix]
+    weights = data.get("weights")
+    if weights is not None:
+        if not isinstance(weights, list) or not all(isinstance(w, str) for w in weights):
+            raise OperatorFormatError("weights must be a list of rational strings")
+        weights = [_fraction_from_str(w) for w in weights]
     return DiffOp(data["name"], N, d, l, k, terms, weights)
 
 

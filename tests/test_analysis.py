@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from symcheck.exact import GaussianRational, MultiPoly, ScalarMatrix
 from symcheck.analysis import (
+    _sphere_like_grid,
     CERTIFIED_NO,
     CERTIFIED_YES,
     UNCERTIFIED_YES,
@@ -29,6 +31,23 @@ from helpers import rand_op, rand_point, rand_poly
 
 def full_gradient(N):
     return grad_power(1, N, N)
+
+
+class TestSphereLikeGrid:
+    def test_order_matches_the_shells(self):
+        expected = [
+            p
+            for shell in (1, 2)
+            for p in itertools.product(range(-shell, shell + 1), repeat=2)
+            if max(map(abs, p)) == shell
+        ]
+        assert list(_sphere_like_grid(2, 2)) == expected
+
+    def test_first_points_come_without_building_the_grid(self):
+        # 7^40 points in all: only a lazy grid can hand out its first few
+        first = list(itertools.islice(_sphere_like_grid(40, 3), 4))
+        assert len(first) == 4
+        assert all(max(map(abs, p)) == 1 and len(p) == 40 for p in first)
 
 
 class TestRankProfile:

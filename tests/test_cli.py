@@ -1,9 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from symcheck.cli import main
-from symcheck.operators import catalog, grad_power, save_op
+from symcheck.operators import DiffOp, catalog, grad_power, op_to_dict, save_op
 
 
 @pytest.fixture
@@ -63,6 +64,69 @@ class TestAnalyze:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["analyze", "--op", str(bad)]) == 4
+
+
+class TestMalformedInput:
+    """Malformed operator files exit 4 with a message naming the field."""
+
+    @staticmethod
+    def gradient_dict():
+        return op_to_dict(catalog("gradient", 2))
+
+    def run(self, tmp_path, capsys, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code = main(["analyze", "--op", str(path)])
+        return code, capsys.readouterr().err
+
+    def test_terms_entry_without_matrix(self, tmp_path, capsys):
+        data = self.gradient_dict()
+        data["terms"][0].pop("matrix")
+        code, err = self.run(tmp_path, capsys, data)
+        assert code == 4 and "matrix" in err
+
+    def test_integer_matrix_entries(self, tmp_path, capsys):
+        data = self.gradient_dict()
+        data["terms"][0]["matrix"] = [[1], [0]]
+        code, err = self.run(tmp_path, capsys, data)
+        assert code == 4 and "matrix" in err
+
+    def test_terms_given_as_an_object(self, tmp_path, capsys):
+        data = self.gradient_dict()
+        data["terms"] = data["terms"][0]
+        code, err = self.run(tmp_path, capsys, data)
+        assert code == 4 and "terms" in err
+
+    def test_non_integer_alpha(self, tmp_path, capsys):
+        data = self.gradient_dict()
+        data["terms"][0]["alpha"] = ["1", "0"]
+        code, err = self.run(tmp_path, capsys, data)
+        assert code == 4 and "alpha" in err
+
+    def test_negative_weights(self, tmp_path, capsys):
+        data = op_to_dict(catalog("sym_gradient", 2))
+        data["weights"] = ["-1", "1", "2"]
+        code, err = self.run(tmp_path, capsys, data)
+        assert code == 4 and "weights" in err
+
+
+class TestBudget:
+    def test_analyze_in_forty_variables_returns(self, tmp_path):
+        # d_1^40 in N = 40: the real-rank sampling walks a lazy grid of 7^40
+        # points, and one form in 40 variables fails the origin test at once
+        op = DiffOp("d1^40", 40, 1, 1, 40, {(40,) + (0,) * 39: [[Fraction(1)]]})
+        path, out = tmp_path / "d1_40.json", tmp_path / "r.json"
+        save_op(op, path)
+        assert main(["analyze", "--op", str(path), "--out", str(out)]) == 0
+        assert read(out)["results"]["constant_rank_C"] is False
+
+    def test_origin_test_past_the_macaulay_cap_exits_3(self, tmp_path, capsys):
+        # D^3 on scalars in N = 6: the origin test of its 216 cubic monomial
+        # minors needs a Macaulay matrix with 8568 columns
+        path = tmp_path / "d3.json"
+        save_op(grad_power(3, 1, 6), path)
+        assert main(["analyze", "--op", str(path)]) == 3
+        assert "budget" in capsys.readouterr().err
 
 
 class TestCompare:

@@ -157,6 +157,104 @@ class TestScalarMatrix:
         assert m.solve([Fraction(1), Fraction(2)]) is None
 
 
+# ---------------------------------------------------------------------------
+# the dense Gauss-Jordan elimination the sparse kernel replaced, kept as the
+# reference it is compared against
+# ---------------------------------------------------------------------------
+
+
+def dense_rref(entries):
+    """Reduced row echelon form by dense Gauss-Jordan: (rows, pivot columns)."""
+    m = [list(row) for row in entries]
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def dense_kernel_basis(entries):
+    m, pivots = dense_rref(entries)
+    ncols = len(entries[0])
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def dense_solve(entries, rhs):
+    ncols = len(entries[0])
+    m, pivots = dense_rref([list(row) + [b] for row, b in zip(entries, rhs)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = m[r][ncols]
+    return tuple(x)
+
+
+def _random_low_rank(rng, rows, cols, scalar):
+    """Product of random rows x r and r x cols factors with zeros sprinkled
+    in, so that ranks below min(rows, cols) and sparse rows both occur."""
+    r = rng.randint(0, min(rows, cols))
+
+    def entry():
+        return Fraction(0) if rng.random() < 0.4 else scalar(rng)
+
+    left = [[entry() for _ in range(r)] for _ in range(rows)]
+    right = [[entry() for _ in range(cols)] for _ in range(r)]
+    return ScalarMatrix(
+        [
+            [sum((left[i][t] * right[t][j] for t in range(r)), Fraction(0))
+             for j in range(cols)]
+            for i in range(rows)
+        ]
+    )
+
+
+class TestSparseEchelonAgainstDense:
+    @pytest.mark.parametrize("scalar", [rand_fraction, rand_gaussian])
+    def test_kernel_rank_and_column_space(self, scalar):
+        rng = random.Random(11)
+        for _ in range(120):
+            m = _random_low_rank(rng, rng.randint(1, 6), rng.randint(1, 6), scalar)
+            _, pivots = dense_rref(m.entries)
+            assert m.kernel_basis() == dense_kernel_basis(m.entries)
+            assert m.rank() == len(pivots)
+            assert m.column_space_basis() == [
+                tuple(row[c] for row in m.entries) for c in pivots
+            ]
+
+    @pytest.mark.parametrize("scalar", [rand_fraction, rand_gaussian])
+    def test_solve(self, scalar):
+        rng = random.Random(12)
+        for _ in range(120):
+            m = _random_low_rank(rng, rng.randint(1, 6), rng.randint(1, 6), scalar)
+            if rng.random() < 0.5:
+                rhs = list(m.apply([scalar(rng) for _ in range(m.cols)]))
+            else:
+                rhs = [scalar(rng) for _ in range(m.rows)]
+            assert m.solve(rhs) == dense_solve(m.entries, rhs)
+
+
 class TestSubspaces:
     def test_intersection(self):
         rng = random.Random(11)

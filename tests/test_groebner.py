@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from symcheck.exact import MultiPoly
+from symcheck.analysis import generic_rank
+from symcheck.exact import MultiPoly, monomials_of_degree
 from symcheck.groebner import (
     GroebnerBasis,
     TermOrder,
@@ -12,6 +14,7 @@ from symcheck.groebner import (
     normal_form_ideal,
     zero_dim_origin,
 )
+from symcheck.operators import catalog
 from helpers import rand_homogeneous, rand_poly
 
 
@@ -86,6 +89,38 @@ def zero_dim_origin_oracle_2vars(gens):
         # every dehomogenization vanished: common zeros on the x-axis
         return False
     return deg == 0
+
+
+def zero_dim_origin_by_groebner(gens):
+    """The Groebner leading-term criterion: the homogeneous ideal has only
+    the origin as a common zero iff its reduced grevlex basis has a pure
+    power of every variable among its leading terms."""
+    gens = [g for g in gens if not g.is_zero]
+    if not gens:
+        return False
+    G = buchberger_ideal(gens, TermOrder("grevlex"))
+    covered = set()
+    for _, exp in G.leading_exponents():
+        support = [i for i, e in enumerate(exp) if e]
+        if not support:
+            return True  # unit ideal
+        if len(support) == 1:
+            covered.add(support[0])
+    return covered == set(range(gens[0].nvars))
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    """1-4 forms of mixed degrees 1-3 in 2 or 3 variables, small integer
+    coefficients on a random subset of the monomials."""
+    nvars = draw(st.integers(2, 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        monos = monomials_of_degree(nvars, draw(st.integers(1, 3)))
+        support = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(support), max_size=len(support)))
+        gens.append(MultiPoly(nvars, {m: Fraction(c) for m, c in zip(support, coeffs)}))
+    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -212,3 +247,26 @@ class TestZeroDimOrigin:
             assert zero_dim_origin(gens) == zero_dim_origin_oracle_2vars(gens)
             checked += 1
         assert checked >= 150
+
+    @settings(max_examples=150, deadline=None)
+    @given(homogeneous_ideals())
+    def test_macaulay_against_groebner_criterion(self, gens):
+        assert zero_dim_origin(gens) == zero_dim_origin_by_groebner(gens)
+
+    @pytest.mark.parametrize(
+        "name,N",
+        [("gradient", 2), ("gradient", 3), ("divergence", 2), ("divergence", 3),
+         ("curl", 2), ("curl", 3), ("sym_gradient", 2), ("sym_gradient", 3),
+         ("laplacian", 2), ("bilaplacian", 2), ("cauchy_riemann", 2),
+         ("d2_laplacian", 2)],
+    )
+    def test_catalog_rho_minors_against_groebner_criterion(self, name, N):
+        sym = catalog(name, N).symbol()
+        minors = [m for m in sym.minors(generic_rank(sym)) if not m.is_zero]
+        assert zero_dim_origin(minors) == zero_dim_origin_by_groebner(minors)
+
+    def test_fewer_generators_than_variables_answer_at_once(self):
+        # Krull's height bound: one form in 40 variables vanishes on a cone;
+        # the Macaulay matrix at degree 40 * 39 + 1 is never built
+        xi1_40 = MultiPoly.monomial(40, (40,) + (0,) * 39)
+        assert zero_dim_origin([xi1_40]) is False
