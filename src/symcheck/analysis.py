@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .exact import (
@@ -169,7 +170,14 @@ class WAnnihilationResult:
 
 def _sphere_like_grid(N: int, radius: int):
     """Deterministic nonzero integer points with coordinates in [-r, r],
-    ordered by max-norm shell (sparse points first), generated lazily."""
+    generated lazily, shell by shell in max-norm.
+
+    Within a shell the points come in ``itertools.product`` order, first
+    coordinate slowest, so in high N the first points are dense ones such as
+    (-1, ..., -1), not the sparse axes. Ordering a shell by its number of
+    nonzero coordinates would move the witnesses found today (ROADMAP item
+    E), so the order stays as it is.
+    """
     for shell in range(1, radius + 1):
         for p in itertools.product(range(-shell, shell + 1), repeat=N):
             if max(abs(c) for c in p) == shell:
@@ -231,9 +239,7 @@ def rank_profile(
     elif not want_real:
         const_R, witness = UNCERTIFIED_YES, None
     else:
-        const_R, witness = _real_constant_rank(
-            sym, rho, rho_minors, real_samples, seed
-        )
+        const_R, witness = _real_constant_rank(sym, rho_minors, real_samples, seed)
     return RankProfile(
         generic_rank=rho,
         kernel_dim=op.d - rho,
@@ -243,23 +249,44 @@ def rank_profile(
     )
 
 
-def _real_constant_rank(sym, rho, rho_minors, budget, seed):
+def _real_constant_rank(sym, rho_minors, budget, seed):
+    """Search integer points for a common real zero of the rho-minors: the
+    radius-3 grid, then random points of radius 50, `budget` points in all
+    (at least one)."""
+    vanish = _vanishing_test(rho_minors)
     rng = random.Random(seed)
-    count = 0
-    for point in _sphere_like_grid(sym.nvars, 3):
-        frac_point = tuple(Fraction(c) for c in point)
-        if _minor_rank_at(rho_minors, frac_point):
-            return CERTIFIED_NO, frac_point
-        count += 1
-        if count >= budget:
-            return UNCERTIFIED_YES, None
-    while count < budget:
-        p = _random_int_point(rng, sym.nvars, 50)
-        frac_point = tuple(Fraction(c) for c in p)
-        if _minor_rank_at(rho_minors, frac_point):
-            return CERTIFIED_NO, frac_point
-        count += 1
+    points = itertools.chain(
+        _sphere_like_grid(sym.nvars, 3),
+        iter(lambda: _random_int_point(rng, sym.nvars, 50), None),
+    )
+    for point in itertools.islice(points, max(budget, 1)):
+        if vanish(point):
+            return CERTIFIED_NO, tuple(Fraction(c) for c in point)
     return UNCERTIFIED_YES, None
+
+
+def _vanishing_test(minors):
+    """Predicate on integer points: do all the minors vanish there?
+
+    Each rational minor is scaled once by the lcm of its coefficient
+    denominators and evaluated in Python ints, which is exact: an integer
+    multiple of a value is zero iff the value is. Minors with Q(i)
+    coefficients are evaluated as they are, at the point in Fractions.
+    """
+    if not all(isinstance(c, Fraction) for m in minors for c in m.terms.values()):
+        return lambda p: _minor_rank_at(minors, tuple(Fraction(c) for c in p))
+    scaled = []
+    for m in minors:
+        lcm = math.lcm(*(c.denominator for c in m.terms.values()))
+        scaled.append(([int(c * lcm) for c in m.terms.values()], list(m.terms)))
+
+    def vanish(point):
+        return not any(
+            sum(map(mul, coeffs, [math.prod(map(pow, point, e)) for e in exps]))
+            for coeffs, exps in scaled
+        )
+
+    return vanish
 
 
 @dataclass(frozen=True)
@@ -270,35 +297,44 @@ class EllipticVerdict:
     witness: Optional[tuple] = None
 
 
-def is_elliptic(op: DiffOp, field: str, *, seed: int = 0) -> EllipticVerdict:
-    """Injectivity of the symbol on nonzero frequencies, over R or over C."""
+def is_elliptic(
+    op: DiffOp,
+    field: str,
+    *,
+    profile: Optional[RankProfile] = None,
+    seed: int = 0,
+) -> EllipticVerdict:
+    """Injectivity of the symbol on nonzero frequencies, over R or over C.
+
+    A function of the rank profile: the symbol is injective exactly where
+    its rank is d. With generic rank rho < d it is injective nowhere. With
+    rho == d the d-minors are the rho-minors, so ellipticity over C is
+    complex constant rank, and over R it is the profile's real-rank
+    sampling. A `profile` passed in must come from `rank_profile` with the
+    same seed and the real sampling on (`want_real`, default budget).
+    """
     if field not in ("R", "C"):
         raise ValueError("field must be 'R' or 'C'")
-    sym = op.symbol()
-    if op.l < op.d:
+    if profile is None and op.l >= op.d:
+        profile = rank_profile(op, want_real=field == "R", seed=seed)
+    if op.l < op.d or profile.generic_rank < op.d:
+        # the kernel is nontrivial at every nonzero point
         if field == "C":
             return EllipticVerdict("C", False, CERTIFIED_NO)
-        # never injective: the kernel is nontrivial at every nonzero point
-        point = tuple(Fraction(1 if i == 0 else 0) for i in range(op.N))
+        if op.l < op.d:
+            point = tuple(Fraction(1 if i == 0 else 0) for i in range(op.N))
+        else:
+            point = tuple(Fraction(c) for c in next(_sphere_like_grid(op.N, 1)))
         return EllipticVerdict("R", False, CERTIFIED_NO, witness=point)
-    d_minors = [m for m in sym.minors(op.d) if not m.is_zero]
-    elliptic_C = bool(d_minors) and zero_dim_origin(d_minors)
     if field == "C":
+        elliptic_C = profile.constant_rank_C
         return EllipticVerdict(
             "C", elliptic_C, CERTIFIED_YES if elliptic_C else CERTIFIED_NO
         )
-    if elliptic_C:
-        return EllipticVerdict("R", True, CERTIFIED_YES)
-    if not d_minors:
-        # generic rank < d: rank drops at every real point
-        point = tuple(Fraction(c) for c in next(_sphere_like_grid(op.N, 1)))
-        return EllipticVerdict("R", False, CERTIFIED_NO, witness=point)
-    status, witness = _real_constant_rank(
-        sym, op.d, d_minors, REAL_SAMPLE_BUDGET, seed
+    status = profile.constant_rank_R
+    return EllipticVerdict(
+        "R", status != CERTIFIED_NO, status, witness=profile.real_witness
     )
-    if status == CERTIFIED_NO:
-        return EllipticVerdict("R", False, CERTIFIED_NO, witness=witness)
-    return EllipticVerdict("R", True, UNCERTIFIED_YES)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +442,11 @@ def find_witness(
 
 
 def construct_L(
-    pair: OperatorPair, s_max: int = DEFAULT_S_MAX, *, seed: int = 0
+    pair: OperatorPair,
+    s_max: int = DEFAULT_S_MAX,
+    *,
+    verdict: Optional[InclusionVerdict] = None,
+    seed: int = 0,
 ) -> FactorizationCertificate:
     """Smallest s <= s_max with D^s o A = L o calA, plus the operator L.
 
@@ -414,7 +454,8 @@ def construct_L(
     xi^b * A_i[xi] in the row module of the symbol of calA, all reduced by
     one Groebner basis of that module.
     """
-    verdict = kernel_inclusion(pair, seed=seed)
+    if verdict is None:
+        verdict = kernel_inclusion(pair, seed=seed)
     if not verdict.holds:
         raise ValueError("construct_L requires kernel inclusion to hold")
     calA, A = pair.calA, pair.A

@@ -134,15 +134,15 @@ def cmd_analyze(args) -> int:
     op = _load(args.op)
     config = {"op": str(args.op), "seed": args.seed}
     profile = rank_profile(op, seed=args.seed)
-    ell_R = is_elliptic(op, "R", seed=args.seed)
-    ell_C = is_elliptic(op, "C", seed=args.seed)
+    ell_R = is_elliptic(op, "R", profile=profile)
+    ell_C = is_elliptic(op, "C", profile=profile)
     cancel = compute_W(op, profile=profile, seed=args.seed)
     results = {
         "N": op.N,
         "d": op.d,
         "l": op.l,
         "k": op.k,
-        "elliptic_R": ell_R.status if not ell_C.value else "CERTIFIED_YES",
+        "elliptic_R": ell_R.status,
         "elliptic_R_value": ell_R.value,
         "elliptic_C": ell_C.value,
         "constant_rank_C": profile.constant_rank_C,
@@ -199,7 +199,7 @@ def cmd_compare(args) -> int:
     exit_code = EXIT_OK
     if verdict.holds:
         try:
-            cert = construct_L(pair, args.s_max, seed=args.seed)
+            cert = construct_L(pair, args.s_max, verdict=verdict)
         except SMaxExceeded:
             report = make_report("compare", config, ops, results, "S_MAX_EXCEEDED")
             emit(report, args.out, [f"inclusion holds but no factorization up to s = {args.s_max}"])

@@ -569,7 +569,7 @@ def sobolev_ratio_experiment(
         raise InclusionFails(
             "kernel inclusion fails; run the counterexample blow-up instead"
         )
-    cert = construct_L(pair, s_max)
+    cert = construct_L(pair, s_max, verdict=verdict)
     qspec = quotient_spec(pair, cert.s)
     rng = np.random.default_rng(seed)
     band = max(1, n_grid // 8)

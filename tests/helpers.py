@@ -3,7 +3,18 @@
 import random
 from fractions import Fraction
 
+from symcheck.analysis import (
+    CERTIFIED_NO,
+    CERTIFIED_YES,
+    REAL_SAMPLE_BUDGET,
+    UNCERTIFIED_YES,
+    EllipticVerdict,
+    _minor_rank_at,
+    _random_int_point,
+    _sphere_like_grid,
+)
 from symcheck.exact import GaussianRational, MultiPoly, monomials_of_degree
+from symcheck.groebner import zero_dim_origin
 from symcheck.operators import DiffOp
 
 
@@ -63,3 +74,82 @@ def rand_point(rng, N, gaussian=False, span=5):
             pt = tuple(rand_fraction(rng, span) for _ in range(N))
         if any(pt):
             return pt
+
+
+def rand_pencil(rng, N, planted=None, definite=False):
+    """Random 2x1 order-2 operator: two quadrics in N variables.
+
+    ``definite`` makes the first quadric diagonally dominant, so the symbol
+    has no real zero; ``planted`` is a nonzero integer point at which both
+    quadrics are made to vanish, through the coefficient of xi_j^2 with
+    planted[j] != 0.
+    """
+    alphas = monomials_of_degree(N, 2)
+    terms = {a: [[Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))] for _ in range(2)]
+             for a in alphas}
+    if definite:
+        for a in alphas:
+            terms[a][0][0] = Fraction(rng.randint(3, 5) if max(a) == 2 else rng.choice((-1, 1)))
+    if planted is not None:
+        j = next(i for i, c in enumerate(planted) if c)
+        pure = tuple(2 if i == j else 0 for i in range(N))
+        for row in range(2):
+            value = sum(terms[a][row][0] * MultiPoly.monomial(N, a).evaluate(planted)
+                        for a in alphas)
+            terms[pure][row][0] -= value / planted[j] ** 2
+    return DiffOp("pencil", N, 1, 2, 2, terms)
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the sampling and the ellipticity decision as
+# they were before ellipticity was read off the rank profile and the
+# sampling moved to integer arithmetic; the differential tests compare the
+# library with them
+# ---------------------------------------------------------------------------
+
+
+def reference_real_constant_rank(rho_minors, nvars, budget, seed):
+    """(status, witness) of the Fraction sampling loop."""
+    rng = random.Random(seed)
+    count = 0
+    for point in _sphere_like_grid(nvars, 3):
+        frac_point = tuple(Fraction(c) for c in point)
+        if _minor_rank_at(rho_minors, frac_point):
+            return CERTIFIED_NO, frac_point
+        count += 1
+        if count >= budget:
+            return UNCERTIFIED_YES, None
+    while count < budget:
+        p = _random_int_point(rng, nvars, 50)
+        frac_point = tuple(Fraction(c) for c in p)
+        if _minor_rank_at(rho_minors, frac_point):
+            return CERTIFIED_NO, frac_point
+        count += 1
+    return UNCERTIFIED_YES, None
+
+
+def reference_is_elliptic(op, field, seed=0):
+    """Ellipticity from the d-minors, with its own origin test and sampling."""
+    sym = op.symbol()
+    if op.l < op.d:
+        if field == "C":
+            return EllipticVerdict("C", False, CERTIFIED_NO)
+        point = tuple(Fraction(1 if i == 0 else 0) for i in range(op.N))
+        return EllipticVerdict("R", False, CERTIFIED_NO, witness=point)
+    d_minors = [m for m in sym.minors(op.d) if not m.is_zero]
+    elliptic_C = bool(d_minors) and zero_dim_origin(d_minors)
+    if field == "C":
+        return EllipticVerdict(
+            "C", elliptic_C, CERTIFIED_YES if elliptic_C else CERTIFIED_NO
+        )
+    if elliptic_C:
+        return EllipticVerdict("R", True, CERTIFIED_YES)
+    if not d_minors:
+        point = tuple(Fraction(c) for c in next(_sphere_like_grid(op.N, 1)))
+        return EllipticVerdict("R", False, CERTIFIED_NO, witness=point)
+    status, witness = reference_real_constant_rank(
+        d_minors, op.N, REAL_SAMPLE_BUDGET, seed
+    )
+    if status == CERTIFIED_NO:
+        return EllipticVerdict("R", False, CERTIFIED_NO, witness=witness)
+    return EllipticVerdict("R", True, UNCERTIFIED_YES)

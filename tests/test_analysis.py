@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from symcheck.exact import GaussianRational, MultiPoly, ScalarMatrix
+from symcheck.exact import GaussianRational, MultiPoly, ScalarMatrix, monomials_of_degree
 from symcheck.analysis import (
+    _real_constant_rank,
     _sphere_like_grid,
     CERTIFIED_NO,
     CERTIFIED_YES,
@@ -25,8 +26,24 @@ from symcheck.analysis import (
     rank_profile,
     verify_L_annihilates_W,
 )
-from symcheck.operators import OperatorPair, catalog, compose, grad_power
-from helpers import rand_op, rand_point, rand_poly
+from symcheck.operators import (
+    CATALOG_NAMES,
+    DiffOp,
+    OperatorFormatError,
+    OperatorPair,
+    catalog,
+    compose,
+    grad_power,
+)
+from helpers import (
+    rand_fraction,
+    rand_op,
+    rand_pencil,
+    rand_point,
+    rand_poly,
+    reference_is_elliptic,
+    reference_real_constant_rank,
+)
 
 
 def full_gradient(N):
@@ -122,6 +139,92 @@ class TestEllipticity:
         assert v.value is False and v.witness is not None
 
 
+def _catalog_ops():
+    for N in (2, 3):
+        for name in CATALOG_NAMES:
+            try:
+                yield catalog(name, N, k=2)
+            except OperatorFormatError:
+                pass
+
+
+def _rational_op(rng, N, d, l, k):
+    terms = {
+        alpha: [[rand_fraction(rng, 5) for _ in range(d)] for _ in range(l)]
+        for alpha in monomials_of_degree(N, k)
+    }
+    return DiffOp("rational", N, d, l, k, terms)
+
+
+def _differential_ops():
+    """Operators covering every branch of the ellipticity decision."""
+    ops = list(_catalog_ops())
+    rng = random.Random(19)
+    ops += [rand_op(rng, N=2, d=2, l=1) for _ in range(2)]  # l < d
+    for _ in range(2):
+        # rho < d <= l: the second column is a multiple of the first
+        base = rand_op(rng, N=2, d=1, l=rng.randint(2, 3))
+        c = rand_fraction(rng)
+        terms = {a: [[row[0], c * row[0]] for row in m] for a, m in base.terms.items()}
+        ops.append(DiffOp("rank-deficient", 2, 2, base.l, base.k, terms))
+    # non-integer rational coefficients: generic, scalar binary quadrics
+    # (complex zeros, mostly no real rational one) and a product of linear
+    # forms with the rational zero (3, -2) in the grid
+    ops += [_rational_op(rng, 2, 1, 1, 2) for _ in range(2)]
+    ops += [_rational_op(rng, 3, 2, 3, 1)]
+    a, b = Fraction(2, 3), Fraction(5, 7)
+    product = {(2, 0): a * b, (1, 1): a * Fraction(3, 2) + b, (0, 2): Fraction(3, 2)}
+    ops.append(DiffOp("product", 2, 1, 1, 2, {e: [[c]] for e, c in product.items()}))
+    for N in (2, 3):
+        ops.append(rand_pencil(rng, N, definite=True))
+        ops.append(rand_pencil(rng, N, planted=(1, -2, 3)[:N]))
+        ops.append(rand_pencil(rng, N, planted=(0, 3, 2)[:N]))
+    # a real zero off the radius-3 grid, found among the random points
+    ops.append(rand_pencil(rng, 2, planted=(7, -11)))
+    # Q(i) coefficients: the symbol (xi_1 - xi_2)(xi_1 + i xi_2), real zero (1, 1)
+    i = GaussianRational(0, 1)
+    ops.append(DiffOp("gaussian", 2, 1, 1, 2, {
+        (2, 0): [[Fraction(1)]], (1, 1): [[i - 1]], (0, 2): [[-i]]}))
+    return ops
+
+
+DIFFERENTIAL_OPS = _differential_ops()
+
+
+class TestEllipticFromProfile:
+    """The profile-based decision and the integer sampling against the
+    reference implementations in helpers.py."""
+
+    @pytest.mark.parametrize("op", DIFFERENTIAL_OPS, ids=lambda op: op.name)
+    def test_is_elliptic_matches_the_reference(self, op):
+        seed = 5 if op.name == "pencil" else 0
+        profile = rank_profile(op, seed=seed)
+        for fld in ("R", "C"):
+            expected = reference_is_elliptic(op, fld, seed=seed)
+            assert is_elliptic(op, fld, seed=seed) == expected
+            assert is_elliptic(op, fld, profile=profile) == expected
+
+    @pytest.mark.parametrize("op", DIFFERENTIAL_OPS, ids=lambda op: op.name)
+    def test_real_constant_rank_matches_the_reference(self, op):
+        sym = op.symbol()
+        rho = rank_profile(op, want_real=False).generic_rank
+        minors = [m for m in sym.minors(rho) if not m.is_zero]
+        for budget in (0, 1, 60, 400):
+            for seed in (0, 3):
+                assert _real_constant_rank(sym, minors, budget, seed) == (
+                    reference_real_constant_rank(minors, op.N, budget, seed)
+                )
+
+    def test_witness_is_a_real_rank_drop(self):
+        op = rand_pencil(random.Random(2), 3, planted=(2, -1, 3))
+        status, witness = _real_constant_rank(
+            op.symbol(), op.symbol().minors(1), 10_000, 0
+        )
+        assert status == CERTIFIED_NO
+        assert all(isinstance(c, Fraction) for c in witness)
+        assert not op.symbol().evaluate(witness).rank()
+
+
 class TestKernelInclusion:
     def test_sym_gradient_controls_the_full_gradient(self):
         pair = OperatorPair(catalog("sym_gradient", 2), full_gradient(2), "korn")
@@ -178,6 +281,16 @@ class TestFactorization:
         pair = OperatorPair(catalog("divergence", 2), full_gradient(2), "korn")
         with pytest.raises(ValueError):
             construct_L(pair, 6)
+
+    def test_given_verdict_gives_the_same_certificate(self):
+        pair = OperatorPair(catalog("sym_gradient", 2), full_gradient(2), "korn")
+        cert = construct_L(pair, 6, verdict=kernel_inclusion(pair))
+        assert cert == construct_L(pair, 6)
+
+    def test_given_failing_verdict_is_rejected(self):
+        pair = OperatorPair(catalog("divergence", 2), full_gradient(2), "korn")
+        with pytest.raises(ValueError):
+            construct_L(pair, 6, verdict=kernel_inclusion(pair))
 
 
 class TestCancellation:

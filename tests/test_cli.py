@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from symcheck import analysis
 from symcheck.cli import main
 from symcheck.operators import DiffOp, catalog, grad_power, op_to_dict, save_op
 
@@ -48,6 +49,22 @@ class TestAnalyze:
         assert res["elliptic_C"] is False
         assert res["elliptic_R"] == "UNCERTIFIED_YES"
         assert res["constant_rank_C"] is False
+
+    def test_origin_test_runs_once(self, tmp_path, monkeypatch):
+        # ellipticity over R and C is read off the rank profile, so the
+        # rho-minors of the laplacian meet the origin test only there
+        calls = []
+        original = analysis.zero_dim_origin
+
+        def counting(gens):
+            calls.append(len(gens))
+            return original(gens)
+
+        monkeypatch.setattr(analysis, "zero_dim_origin", counting)
+        path = tmp_path / "lap2.json"
+        save_op(catalog("laplacian", 2), path)
+        assert main(["analyze", "--op", str(path), "--out", str(tmp_path / "r.json")]) == 0
+        assert len(calls) == 1
 
     def test_divergence(self, ops_dir, tmp_path):
         out = tmp_path / "r.json"
