@@ -1,6 +1,6 @@
 """Decision procedures and certificate constructions for operator symbols.
 
-Everything here is exact: ranks and kernels over Q / Q(i), vanishing of
+Everything here is exact: ranks and kernels over Q, vanishing of
 minor ideals over C decided by a Macaulay matrix rank, module membership
 by a Groebner basis, and every certificate
 (factorization, annihilator, projection identity, polynomial lift)
@@ -18,11 +18,9 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .exact import (
-    GaussianRational,
     MultiPoly,
     PolyMatrix,
     ScalarMatrix,
-    monomials_of_degree,
     monomials_up_to_degree,
     projector_onto_complement,
     reduce_basis,
@@ -93,17 +91,9 @@ class RankProfile:
 
 @dataclass(frozen=True)
 class Witness:
-    xi: tuple  # GaussianRational or Fraction coordinates, nonzero
+    xi: tuple  # real Fraction coordinates, nonzero
     v: tuple  # exact kernel vector of calA[xi]
     residual: tuple  # A[xi] v, nonzero
-
-    @property
-    def is_real(self) -> bool:
-        return all(
-            c.is_real if isinstance(c, GaussianRational) else True for c in self.xi
-        ) and all(
-            c.is_real if isinstance(c, GaussianRational) else True for c in self.v
-        )
 
 
 @dataclass(frozen=True)
@@ -191,11 +181,6 @@ def _random_int_point(rng: random.Random, N: int, radius: int):
             return p
 
 
-def _minor_rank_at(minors_by_size, point) -> bool:
-    """True iff all given minors vanish at the point."""
-    return all(m.evaluate(point) == 0 for m in minors_by_size)
-
-
 def generic_rank(sym: PolyMatrix, seed: int = 0) -> int:
     """Largest r with a not-identically-zero r x r minor.
 
@@ -268,13 +253,10 @@ def _real_constant_rank(sym, rho_minors, budget, seed):
 def _vanishing_test(minors):
     """Predicate on integer points: do all the minors vanish there?
 
-    Each rational minor is scaled once by the lcm of its coefficient
-    denominators and evaluated in Python ints, which is exact: an integer
-    multiple of a value is zero iff the value is. Minors with Q(i)
-    coefficients are evaluated as they are, at the point in Fractions.
+    Each minor is scaled once by the lcm of its coefficient denominators
+    and evaluated in Python ints, which is exact: an integer multiple of a
+    value is zero iff the value is.
     """
-    if not all(isinstance(c, Fraction) for m in minors for c in m.terms.values()):
-        return lambda p: _minor_rank_at(minors, tuple(Fraction(c) for c in p))
     scaled = []
     for m in minors:
         lcm = math.lcm(*(c.denominator for c in m.terms.values()))
@@ -380,11 +362,23 @@ def find_witness(
     seed: int = 0,
     budget: int = 20_000,
 ) -> Witness:
-    """Exact (xi, v) with calA[xi] v = 0 and A[xi] v != 0.
+    """Exact real (xi, v) with calA[xi] v = 0 and A[xi] v != 0.
 
-    Samples a nonvanishing point of a failing minor, preferring real xi;
-    complex sampling kicks in afterwards since a real-nonvanishing minor
-    (e.g. a sum of squares) can hide complex witnesses.
+    Walks the integer grid `_sphere_like_grid(N, ceil(D/2))`, D the degree
+    of the failing minor mu, and returns the first point where mu does not
+    vanish; `budget` points at most (at least one), then
+    SampleBudgetExceeded.
+
+    Such a point always lies on that grid. mu is a (rho+1)-minor of the
+    stacked symbol, and each term of a minor uses every chosen row exactly
+    once, so mu is a nonzero form of degree D. By Alon's Combinatorial
+    Nullstellensatz a nonzero polynomial of degree D cannot vanish on all
+    of {-r..r}^N once 2r + 1 > D, and a form of degree D >= 1 vanishes at
+    the origin, so mu is nonzero at a grid point of radius ceil(D/2) (at
+    least 1). The verdict needs complex constant rank rho (kernel_inclusion
+    raises HypothesesNotMet otherwise), so calA[xi] has rank rho at every
+    real xi != 0; where mu(xi) != 0 the stacked symbol has larger rank, and
+    some kernel basis vector of calA[xi] is not annihilated by A[xi].
     """
     if verdict is None:
         verdict = kernel_inclusion(pair, seed=seed)
@@ -392,47 +386,20 @@ def find_witness(
         raise ValueError("find_witness requires a failing inclusion verdict")
     mu = verdict.failing_minor
     rho = verdict.rank
-    rng = random.Random(seed)
-    N = pair.calA.N
-
-    def try_point(point):
+    radius = max(1, -(-mu.degree() // 2))
+    grid = _sphere_like_grid(pair.calA.N, radius)
+    for p in itertools.islice(grid, max(budget, 1)):
+        point = tuple(Fraction(c) for c in p)
         if mu.evaluate(point) == 0:
-            return None
+            continue
         calA_xi = pair.calA.symbol().evaluate(point)
         if calA_xi.rank() != rho:
-            return None
+            continue
         A_xi = pair.A.symbol().evaluate(point)
         for v in calA_xi.kernel_basis():
             res = A_xi.apply(v)
             if any(c != 0 for c in res):
-                return Witness(xi=tuple(point), v=tuple(v), residual=tuple(res))
-        return None
-
-    tried = 0
-    # deterministic small real grid first: prefers real witnesses
-    for p in _sphere_like_grid(N, 3):
-        w = try_point(tuple(Fraction(c) for c in p))
-        if w is not None:
-            return w
-        tried += 1
-        if tried >= budget:
-            raise SampleBudgetExceeded(mu)
-    radius = 4
-    fails = 0
-    while tried < budget:
-        point = tuple(
-            GaussianRational(rng.randint(-radius, radius), rng.randint(-radius, radius))
-            for _ in range(N)
-        )
-        if any(point):
-            w = try_point(point)
-            if w is not None:
-                return w
-        tried += 1
-        fails += 1
-        if fails >= 1000:
-            radius *= 2
-            fails = 0
+                return Witness(xi=point, v=tuple(v), residual=tuple(res))
     raise SampleBudgetExceeded(mu)
 
 

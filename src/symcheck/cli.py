@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .exact import GaussianRational, MultiPoly
+from .exact import MultiPoly
 from .groebner import MacaulayBudgetExceeded
 from .operators import (
     DiffOp,
@@ -21,13 +21,11 @@ from .operators import (
     OperatorPair,
     catalog,
     load_op,
-    multiindex_count,
     op_to_dict,
     save_op,
 )
 from .analysis import (
     HypothesesNotMet,
-    NotInImage,
     SampleBudgetExceeded,
     SMaxExceeded,
     compute_W,
@@ -42,7 +40,6 @@ from .numerics import (
     InclusionFails,
     IllConditionedQuotient,
     NyquistViolation,
-    PlaneWaveFamily,
     UnboundedSuspected,
     bb_ratio_experiment,
     counterexample_blowup,
@@ -63,8 +60,6 @@ MULTIINDEX_NOTE = (
 
 
 def _scalar_str(c) -> str:
-    if isinstance(c, GaussianRational):
-        return str(c)
     return str(Fraction(c))
 
 
@@ -88,7 +83,7 @@ def _witness_json(w) -> dict:
         "xi": _vector_json(w.xi),
         "v": _vector_json(w.v),
         "residual": _vector_json(w.residual),
-        "real": w.is_real,
+        "real": True,
     }
 
 

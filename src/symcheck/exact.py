@@ -1,4 +1,4 @@
-"""Exact scalars, multivariate polynomials and linear algebra over Q and Q(i).
+"""Exact multivariate polynomials and linear algebra over Q.
 
 Everything in this module is immutable after construction and all operations
 are pure.  The zero polynomial is the empty term map; there are no epsilon
@@ -10,136 +10,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-
-class GaussianRational:
-    """Exact element of Q(i), stored as a pair of Fractions."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    def _coerce(self, other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return GaussianRational(1) / self ** (-n)
-        out = GaussianRational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        return NotImplemented
-
-    def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def norm2(self) -> Fraction:
-        """Squared modulus, an exact rational."""
-        return self.re * self.re + self.im * self.im
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        return f"{self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i"
-
-
-I = GaussianRational(0, 1)
-
-# A scalar is a Fraction or a GaussianRational; ints are accepted on input.
-Scalar = object
-
-
-def _is_zero(c) -> bool:
-    return not c if isinstance(c, GaussianRational) else c == 0
 
 
 def monomials_of_degree(nvars: int, deg: int) -> list[tuple[int, ...]]:
@@ -163,9 +33,8 @@ def monomials_up_to_degree(nvars: int, deg: int) -> list[tuple[int, ...]]:
 class MultiPoly:
     """Multivariate polynomial with exact coefficients in canonical form.
 
-    The term map sends exponent tuples of length `nvars` to nonzero scalars
-    (Fraction or GaussianRational).  Two equal polynomials have identical
-    term maps.
+    The term map sends exponent tuples of length `nvars` to nonzero
+    Fractions.  Two equal polynomials have identical term maps.
     """
 
     __slots__ = ("nvars", "terms")
@@ -180,7 +49,7 @@ class MultiPoly:
                     )
                 if isinstance(c, int):
                     c = Fraction(c)
-                if not _is_zero(c):
+                if c != 0:
                     cleaned[tuple(exp)] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", cleaned)
@@ -217,7 +86,7 @@ class MultiPoly:
             )
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.nvars, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -225,7 +94,7 @@ class MultiPoly:
         terms = dict(self.terms)
         for exp, c in other.terms.items():
             s = terms.get(exp, 0) + c
-            if _is_zero(s):
+            if s == 0:
                 terms.pop(exp, None)
             else:
                 terms[exp] = s
@@ -237,7 +106,7 @@ class MultiPoly:
         return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.nvars, other)
         return self + (-other)
 
@@ -245,8 +114,8 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            if _is_zero(other) or (isinstance(other, int) and other == 0):
+        if isinstance(other, (int, Fraction)):
+            if other == 0:
                 return MultiPoly.zero(self.nvars)
             return MultiPoly(
                 self.nvars, {e: c * other for e, c in self.terms.items()}
@@ -259,7 +128,7 @@ class MultiPoly:
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 s = terms.get(e, 0) + c1 * c2
-                if _is_zero(s):
+                if s == 0:
                     terms.pop(e, None)
                 else:
                     terms[e] = s
@@ -280,7 +149,7 @@ class MultiPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.nvars, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -323,7 +192,7 @@ class MultiPoly:
         )
 
     def evaluate(self, point: Sequence):
-        """Exact evaluation at a point of Fractions or GaussianRationals."""
+        """Exact evaluation at a point of Fractions (or ints)."""
         if len(point) != self.nvars:
             raise ValueError("point dimension mismatch")
         total = None
@@ -411,7 +280,7 @@ def grevlex_key(exp: tuple[int, ...]):
 
 
 def forward_eliminate(rows: Iterable[dict], ncols: int) -> dict[int, dict]:
-    """Row echelon form of sparse rows over Q or Q(i).
+    """Row echelon form of sparse rows over Q.
 
     A row maps column indices to nonzero scalars.  Returns the pivot rows
     keyed by their pivot column: each is scaled to 1 at its pivot and has no
@@ -460,12 +329,12 @@ def _subtract_multiple(row: dict, f, pivot_row: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Exact matrices over Q / Q(i)
+# Exact matrices over Q
 # ---------------------------------------------------------------------------
 
 
 class ScalarMatrix:
-    """Immutable dense matrix with Fraction or GaussianRational entries."""
+    """Immutable dense matrix with Fraction entries."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -553,7 +422,7 @@ class ScalarMatrix:
 
     @property
     def is_zero(self) -> bool:
-        return all(_is_zero(c) for row in self.entries for c in row)
+        return all(c == 0 for row in self.entries for c in row)
 
     # -- elimination ----------------------------------------------------
 
@@ -616,7 +485,7 @@ def _bareiss_det(m):
     """Bareiss determinant over any exact integral domain.
 
     Entries must support +, -, *, exact division (/ for fields, .exact_div
-    for polynomials) and zero testing via `_is_zero` / is_zero.
+    for polynomials) and zero testing via == 0 / is_zero.
     """
     n = len(m)
     if n == 0:
@@ -628,7 +497,7 @@ def _bareiss_det(m):
         return a / b
 
     def zero(a):
-        return a.is_zero if isinstance(a, MultiPoly) else _is_zero(a)
+        return a.is_zero if isinstance(a, MultiPoly) else a == 0
 
     sign = 1
     prev = None

@@ -8,19 +8,15 @@ upstream, never to small floats.
 
 from __future__ import annotations
 
-import itertools
 import math
-import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import GaussianRational, MultiPoly
-from .operators import DiffOp, OperatorPair, compose, grad_power
+from .exact import MultiPoly
+from .operators import DiffOp, OperatorPair
 from .analysis import (
-    InclusionVerdict,
     Witness,
     construct_L,
     kernel_inclusion,
@@ -93,8 +89,8 @@ def _weights_array(op: DiffOp) -> Optional[np.ndarray]:
 
 
 def symbol_at_float(op: DiffOp, xi: np.ndarray) -> np.ndarray:
-    """Numeric symbol sum_alpha A_alpha xi^alpha (real or complex xi)."""
-    out = np.zeros((op.l, op.d), dtype=complex if np.iscomplexobj(xi) else float)
+    """Numeric symbol sum_alpha A_alpha xi^alpha at a real xi."""
+    out = np.zeros((op.l, op.d))
     for alpha, m in op.terms.items():
         mono = 1.0
         for x, e in zip(xi, alpha):
@@ -111,12 +107,11 @@ def symbol_at_float(op: DiffOp, xi: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PlaneWaveFamily:
-    """u_n(x) = Re[v exp(2 pi i n xi . x)] built from an exact witness."""
+    """u_n(x) = Re[v exp(2 pi i n xi . x)] built from an exact real witness."""
 
     witness: Witness
     calA: DiffOp
     modes: tuple
-    sup_normalized: bool = True
 
     def __post_init__(self):
         xi, v = self.witness.xi, self.witness.v
@@ -126,34 +121,19 @@ class PlaneWaveFamily:
         if not any(m > 0 for m in self.modes):
             raise ValueError("modes must be positive integers")
 
-    @property
-    def is_real(self) -> bool:
-        return self.witness.is_real
-
 
 def _to_complex_vec(vec) -> np.ndarray:
-    out = []
-    for c in vec:
-        if isinstance(c, GaussianRational):
-            out.append(complex(c))
-        else:
-            out.append(complex(float(c), 0.0))
-    return np.array(out)
+    return np.array([complex(float(c), 0.0) for c in vec])
 
 
 def planewave_field(fam: PlaneWaveFamily, n: int, n_grid: int) -> GridField:
-    """Sample u_n on the grid; domain is the cube for complex frequencies."""
+    """Sample u_n on the torus grid."""
     xi = _to_complex_vec(fam.witness.xi)
     v = _to_complex_vec(fam.witness.v)
     X = grid_points(len(xi), n_grid)
     phase = np.tensordot(X, 2j * np.pi * n * xi, axes=([-1], [0]))
     u = np.real(v * np.exp(phase)[..., None])
-    domain = "torus" if fam.is_real else "cube"
-    if fam.sup_normalized and not fam.is_real:
-        m = np.max(np.abs(u))
-        if m > 0:
-            u = u / m
-    return GridField(domain=domain, n=n_grid, values=u)
+    return GridField(domain="torus", n=n_grid, values=u)
 
 
 def apply_op_planewave(
@@ -168,24 +148,16 @@ def apply_op_planewave(
     sym = op.symbol().evaluate(xi_exact)
     w = sym.apply(list(fam.witness.v))
     N = op.N
-    domain = "torus" if fam.is_real else "cube"
     if all(c == 0 for c in w):
         shape = (n_grid,) * N + (op.l,)
-        return GridField(domain=domain, n=n_grid, values=np.zeros(shape),
+        return GridField(domain="torus", n=n_grid, values=np.zeros(shape),
                          weights=_weights_array(op))
     xi = _to_complex_vec(fam.witness.xi)
     wv = _to_complex_vec(w) * (2j * np.pi * n) ** op.k
     X = grid_points(N, n_grid)
     phase = np.tensordot(X, 2j * np.pi * n * xi, axes=([-1], [0]))
     vals = np.real(wv * np.exp(phase)[..., None])
-    if fam.sup_normalized and not fam.is_real:
-        # normalize by the same factor as the displacement field
-        xiv = _to_complex_vec(fam.witness.v)
-        raw = np.real(xiv * np.exp(phase)[..., None])
-        m = np.max(np.abs(raw))
-        if m > 0:
-            vals = vals / m
-    return GridField(domain=domain, n=n_grid, values=vals, weights=_weights_array(op))
+    return GridField(domain="torus", n=n_grid, values=vals, weights=_weights_array(op))
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +306,13 @@ def counterexample_blowup(
             f"grid {n_grid} too coarse for mode {max(modes)} (need >= {8*max(modes)})"
         )
     fam = PlaneWaveFamily(witness=witness, calA=pair.calA, modes=modes)
-    if not fam.is_real and max(modes) > 8:
-        raise ValueError("complex witnesses are capped at mode 8")
     report = ExperimentReport(
         name="counterexample_blowup",
         parameters={
             "modes": list(modes),
             "n_grid": n_grid,
             "seed": seed,
-            "witness_real": fam.is_real,
+            "witness_real": True,
         },
     )
     lhs_norms = []
@@ -363,7 +333,7 @@ def counterexample_blowup(
     gram = F @ F.T
     gram_rank = int(np.linalg.matrix_rank(gram, tol=1e-8 * np.trace(gram) / len(modes)))
     slope = None
-    if fam.is_real and len(modes) >= 2:
+    if len(modes) >= 2:
         logs_n = np.log(np.array(modes, dtype=float))
         logs_v = np.log(np.array(lhs_norms))
         slope = float(np.polyfit(logs_n, logs_v, 1)[0])

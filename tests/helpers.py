@@ -1,5 +1,6 @@
 """Shared generators for randomized tests."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,11 +10,10 @@ from symcheck.analysis import (
     REAL_SAMPLE_BUDGET,
     UNCERTIFIED_YES,
     EllipticVerdict,
-    _minor_rank_at,
     _random_int_point,
     _sphere_like_grid,
 )
-from symcheck.exact import GaussianRational, MultiPoly, monomials_of_degree
+from symcheck.exact import MultiPoly, monomials_of_degree
 from symcheck.groebner import zero_dim_origin
 from symcheck.operators import DiffOp
 
@@ -22,18 +22,13 @@ def rand_fraction(rng, span=6):
     return Fraction(rng.randint(-span, span), rng.randint(1, span))
 
 
-def rand_gaussian(rng, span=6):
-    return GaussianRational(rand_fraction(rng, span), rand_fraction(rng, span))
-
-
-def rand_poly(rng, nvars, max_deg=3, n_terms=4, gaussian=False, span=4):
+def rand_poly(rng, nvars, max_deg=3, n_terms=4, span=4):
     terms = {}
     for _ in range(n_terms):
         exp = tuple(rng.randint(0, max_deg) for _ in range(nvars))
         if sum(exp) > max_deg:
             continue
-        c = rand_gaussian(rng, span) if gaussian else rand_fraction(rng, span)
-        terms[exp] = terms.get(exp, Fraction(0)) + c
+        terms[exp] = terms.get(exp, Fraction(0)) + rand_fraction(rng, span)
     return MultiPoly(nvars, terms)
 
 
@@ -66,12 +61,9 @@ def rand_op(rng, N=2, d=None, l=None, k=None, span=2, density=0.7):
             return DiffOp("random", N, d, l, k, terms)
 
 
-def rand_point(rng, N, gaussian=False, span=5):
+def rand_point(rng, N, span=5):
     while True:
-        if gaussian:
-            pt = tuple(rand_gaussian(rng, span) for _ in range(N))
-        else:
-            pt = tuple(rand_fraction(rng, span) for _ in range(N))
+        pt = tuple(rand_fraction(rng, span) for _ in range(N))
         if any(pt):
             return pt
 
@@ -100,12 +92,45 @@ def rand_pencil(rng, N, planted=None, definite=False):
     return DiffOp("pencil", N, 1, 2, 2, terms)
 
 
+def grid_hiding_pair():
+    """(calA, A), both 1x2 of order 8 in N = 2, whose inclusion fails but
+    whose one stacked 2-minor vanishes on the whole radius-3 grid.
+
+    calA[xi] = (xi_1^8, xi_2^8) has complex constant rank 1. The minor
+    xi_1^8 a_2 - xi_2^8 a_1 of the stacked symbol is f, the product of the
+    16 linear forms b xi_1 - a xi_2 over the directions (a, b) of
+    {-3..3}^2 minus the origin; f has degree 16, and each of its monomials
+    is divisible by xi_1^8 or by xi_2^8, which gives a_1 and a_2.
+    """
+    directions = {(a // g, b // g) if (a, b) > (0, 0) else (-a // g, -b // g)
+                  for a in range(-3, 4) for b in range(-3, 4)
+                  if (g := math.gcd(a, b))}
+    f = MultiPoly.const(2, 1)
+    for a, b in directions:
+        f = f * MultiPoly(2, {(1, 0): Fraction(b), (0, 1): Fraction(-a)})
+    assert len(directions) == 16 and f.degree() == 16
+    A_terms: dict = {}
+    for (i, j), c in f.terms.items():
+        if i >= 8:  # c xi_1^i xi_2^j = xi_1^8 * (c xi_1^(i-8) xi_2^j), into a_2
+            A_terms.setdefault((i - 8, j), [[Fraction(0), Fraction(0)]])[0][1] += c
+        else:  # j > 8: -xi_2^8 * (-c xi_1^i xi_2^(j-8)), into a_1
+            A_terms.setdefault((i, j - 8), [[Fraction(0), Fraction(0)]])[0][0] -= c
+    calA = DiffOp("xi_1^8, xi_2^8", 2, 2, 1, 8, {
+        (8, 0): [[Fraction(1), Fraction(0)]], (0, 8): [[Fraction(0), Fraction(1)]]})
+    return calA, DiffOp("grid-hiding", 2, 2, 1, 8, A_terms)
+
+
 # ---------------------------------------------------------------------------
 # reference implementations: the sampling and the ellipticity decision as
 # they were before ellipticity was read off the rank profile and the
 # sampling moved to integer arithmetic; the differential tests compare the
 # library with them
 # ---------------------------------------------------------------------------
+
+
+def _minor_rank_at(minors_by_size, point) -> bool:
+    """True iff all given minors vanish at the point."""
+    return all(m.evaluate(point) == 0 for m in minors_by_size)
 
 
 def reference_real_constant_rank(rho_minors, nvars, budget, seed):

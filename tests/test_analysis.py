@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from symcheck.exact import GaussianRational, MultiPoly, ScalarMatrix, monomials_of_degree
+from symcheck.exact import MultiPoly, ScalarMatrix, monomials_of_degree
 from symcheck.analysis import (
     _real_constant_rank,
     _sphere_like_grid,
@@ -13,7 +13,7 @@ from symcheck.analysis import (
     UNCERTIFIED_YES,
     HypothesesNotMet,
     NotInImage,
-    SMaxExceeded,
+    SampleBudgetExceeded,
     compute_W,
     construct_annihilator,
     construct_Cbeta,
@@ -36,6 +36,7 @@ from symcheck.operators import (
     grad_power,
 )
 from helpers import (
+    grid_hiding_pair,
     rand_fraction,
     rand_op,
     rand_pencil,
@@ -181,10 +182,6 @@ def _differential_ops():
         ops.append(rand_pencil(rng, N, planted=(0, 3, 2)[:N]))
     # a real zero off the radius-3 grid, found among the random points
     ops.append(rand_pencil(rng, 2, planted=(7, -11)))
-    # Q(i) coefficients: the symbol (xi_1 - xi_2)(xi_1 + i xi_2), real zero (1, 1)
-    i = GaussianRational(0, 1)
-    ops.append(DiffOp("gaussian", 2, 1, 1, 2, {
-        (2, 0): [[Fraction(1)]], (1, 1): [[i - 1]], (0, 2): [[-i]]}))
     return ops
 
 
@@ -243,15 +240,43 @@ class TestKernelInclusion:
             kernel_inclusion(pair)
 
     def test_holds_verdict_is_pointwise_sound(self):
+        # the verdict is about complex xi: check it at Gaussian-rational
+        # points, the isotropic (1, i) among them, with sympy's exact I
+        sympy = pytest.importorskip("sympy")
         rng = random.Random(42)
-        pair = OperatorPair(catalog("sym_gradient", 2), full_gradient(2), "korn")
-        assert kernel_inclusion(pair).holds
-        sa, sb = pair.calA.symbol(), pair.A.symbol()
-        for _ in range(50):
-            x = rand_point(rng, 2, gaussian=True)
-            Ma, Mb = sa.evaluate(list(x)), sb.evaluate(list(x))
-            for v in Ma.kernel_basis():
-                assert all(c == 0 for c in Mb.apply(v))
+
+        def rational():
+            c = rand_fraction(rng)
+            return sympy.Rational(c.numerator, c.denominator)
+
+        def at(sym, x):
+            return sympy.Matrix([[sympy.expand(sum(
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(xj ** e for xj, e in zip(x, exp)))
+                for exp, c in p.terms.items())) for p in row] for row in sym.entries])
+
+        # curl(3) has the kernel span(xi) at every complex xi != 0, and the
+        # sum of its first two rows vanishes there too
+        curl = catalog("curl", 3)
+        row_sum = DiffOp("curl rows 1 + 2", 3, 3, 1, 1, {
+            a: [[m[0][j] + m[1][j] for j in range(3)]] for a, m in curl.terms.items()})
+        for pair in (OperatorPair(catalog("sym_gradient", 2), full_gradient(2), "korn"),
+                     OperatorPair(curl, row_sum, "korn")):
+            assert kernel_inclusion(pair).holds
+            N = pair.calA.N
+            isotropic = (sympy.Integer(1), sympy.I) + (sympy.Integer(0),) * (N - 2)
+            points = [isotropic] + [
+                tuple(rational() + sympy.I * rational() for _ in range(N))
+                for _ in range(30)]
+            points = [x for x in points if any(x)]
+            kernels = 0
+            for x in points:
+                Ma, Mb = at(pair.calA.symbol(), x), at(pair.A.symbol(), x)
+                for v in Ma.nullspace():
+                    kernels += 1
+                    assert all(sympy.expand(c) == 0 for c in Mb * v)
+            # sym_gradient is elliptic over C; curl has one kernel vector
+            assert kernels == (0 if N == 2 else len(points))
 
     def test_witness_is_exact(self):
         pair = OperatorPair(catalog("divergence", 2), full_gradient(2), "korn")
@@ -260,6 +285,51 @@ class TestKernelInclusion:
         Mb = pair.A.symbol().evaluate(list(w.xi))
         assert all(c == 0 for c in Ma.apply(list(w.v)))
         assert any(c != 0 for c in Mb.apply(list(w.v)))
+
+    def test_witness_off_the_radius_3_grid_is_real(self):
+        # the failing minor (degree 16) vanishes on all 48 points of the
+        # radius-3 grid; the grid of radius 8 holds a real witness
+        calA, A = grid_hiding_pair()
+        pair = OperatorPair(calA, A, "korn")
+        verdict = kernel_inclusion(pair)
+        assert not verdict.holds and verdict.failing_minor.degree() == 16
+        assert all(verdict.failing_minor.evaluate(p) == 0 for p in _sphere_like_grid(2, 3))
+        w = find_witness(pair, verdict=verdict)
+        assert all(type(c) is Fraction for c in w.xi + w.v + w.residual)
+        assert max(abs(c) for c in w.xi) == 4
+        assert all(c == 0 for c in calA.symbol().evaluate(w.xi).apply(w.v))
+        assert A.symbol().evaluate(w.xi).apply(w.v) == w.residual
+        assert any(c != 0 for c in w.residual)
+
+    def test_witness_budget(self):
+        calA, A = grid_hiding_pair()
+        pair = OperatorPair(calA, A, "korn")
+        with pytest.raises(SampleBudgetExceeded):
+            find_witness(pair, budget=48)  # the radius-3 grid
+        # the first point of shell 4, (-4, -4), lies on the direction (1, 1)
+        with pytest.raises(SampleBudgetExceeded):
+            find_witness(pair, budget=49)
+        assert find_witness(pair, budget=50).xi == (-4, -3)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_first_grid_witness_on_random_pairs(self, seed):
+        # every failing pair gets the first point of the shell-ordered grid
+        # at which the failing minor does not vanish
+        rng = random.Random(seed)
+        while True:
+            k = rng.randint(1, 2)
+            calA = rand_op(rng, d=2, l=rng.randint(1, 2), k=k)
+            A = rand_op(rng, d=2, l=1, k=k)
+            pair = OperatorPair(calA, A, "korn")
+            try:
+                verdict = kernel_inclusion(pair)
+            except HypothesesNotMet:
+                continue
+            if not verdict.holds:
+                break
+        first = next(tuple(map(Fraction, p)) for p in _sphere_like_grid(2, 8)
+                     if verdict.failing_minor.evaluate(p) != 0)
+        assert find_witness(pair, verdict=verdict).xi == first
 
 
 class TestFactorization:

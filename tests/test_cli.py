@@ -6,6 +6,7 @@ import pytest
 from symcheck import analysis
 from symcheck.cli import main
 from symcheck.operators import DiffOp, catalog, grad_power, op_to_dict, save_op
+from helpers import grid_hiding_pair
 
 
 @pytest.fixture
@@ -166,6 +167,18 @@ class TestCompare:
         res = read(out)["results"]
         assert res["inclusion_holds"] is False
         assert "witness" in res
+
+    def test_witness_off_the_radius_3_grid_is_real(self, tmp_path):
+        calA, A = grid_hiding_pair()
+        save_op(calA, tmp_path / "calA.json")
+        save_op(A, tmp_path / "A.json")
+        out = tmp_path / "r.json"
+        code = main(["compare", "-a", str(tmp_path / "calA.json"),
+                     "-A", str(tmp_path / "A.json"), "--out", str(out)])
+        assert code == 0
+        witness = read(out)["results"]["witness"]
+        assert witness["real"] is True
+        assert witness["xi"] == ["-4", "-3"]
 
     def test_hypotheses_not_met(self, ops_dir, tmp_path):
         out = tmp_path / "r.json"
