@@ -13,7 +13,6 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .exact import MultiPoly
 from .groebner import MacaulayBudgetExceeded
 from .operators import (
     DiffOp,
@@ -65,17 +64,6 @@ def _scalar_str(c) -> str:
 
 def _vector_json(vec):
     return [_scalar_str(c) for c in vec]
-
-
-def _matrix_json(m) -> list:
-    return [[_scalar_str(c) for c in row] for row in m.entries]
-
-
-def _poly_json(p: MultiPoly) -> dict:
-    return {
-        ",".join(str(e) for e in exp): _scalar_str(c)
-        for exp, c in sorted(p.terms.items())
-    }
 
 
 def _witness_json(w) -> dict:

@@ -85,9 +85,6 @@ def _mono_mul(g: ModuleElement, exp: tuple[int, ...], c) -> ModuleElement:
     m = MultiPoly.monomial(nv, exp, c)
     return tuple(p * m for p in g)
 
-def _add(g: ModuleElement, h: ModuleElement) -> ModuleElement:
-    return tuple(a + b for a, b in zip(g, h))
-
 
 def _sub(g: ModuleElement, h: ModuleElement) -> ModuleElement:
     return tuple(a - b for a, b in zip(g, h))

@@ -88,16 +88,23 @@ def _weights_array(op: DiffOp) -> Optional[np.ndarray]:
     return np.array([float(w) for w in op.weights])
 
 
-def symbol_at_float(op: DiffOp, xi: np.ndarray) -> np.ndarray:
-    """Numeric symbol sum_alpha A_alpha xi^alpha at a real xi."""
-    out = np.zeros((op.l, op.d))
-    for alpha, m in op.terms.items():
-        mono = 1.0
-        for x, e in zip(xi, alpha):
-            if e:
-                mono = mono * x ** e
-        out += mono * np.array([[float(c) for c in row] for row in m])
-    return out
+def float_symbol(op: DiffOp):
+    """xi -> numeric symbol sum_alpha A_alpha xi^alpha at a real xi, with
+    the coefficients converted to floats once and summed in ``op.terms`` order."""
+    terms = [(alpha, np.array([[float(c) for c in row] for row in m]))
+             for alpha, m in op.terms.items()]
+
+    def at(xi: np.ndarray) -> np.ndarray:
+        out = np.zeros((op.l, op.d))
+        for alpha, M in terms:
+            mono = 1.0
+            for x, e in zip(xi, alpha):
+                if e:
+                    mono = mono * x ** e
+            out += mono * M
+        return out
+
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -190,31 +197,40 @@ class ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def _symbol_quotient_norm(pair: OperatorPair, xi: np.ndarray) -> float:
-    """max |A[xi] v| / |calA[xi] v| over v orthogonal to ker calA[xi].
+def _symbol_quotient_norm(pair: OperatorPair):
+    """xi -> max |A[xi] v| / |calA[xi] v| over v orthogonal to ker calA[xi].
 
-    Component weights are absorbed into the numeric symbols.  Returns inf
-    (as a large sentinel handled by the caller) when the kernel of calA[xi]
-    leaks through A[xi].
+    Component weights are absorbed into the numeric symbols; the value is inf
+    when the kernel of calA[xi] leaks through A[xi]. One reduced SVD gives the
+    rank and the pseudo-inverse (numpy's ``pinv`` formula, rcond 1e-12); only
+    a calA[xi] with a kernel takes a full SVD, for all of its null vectors.
     """
-    Sa = symbol_at_float(pair.calA, xi)
-    Sb = symbol_at_float(pair.A, xi)
+    sym_a, sym_b = float_symbol(pair.calA), float_symbol(pair.A)
     wa, wb = _weights_array(pair.calA), _weights_array(pair.A)
-    if wa is not None:
-        Sa = np.sqrt(wa)[:, None] * Sa
-    if wb is not None:
-        Sb = np.sqrt(wb)[:, None] * Sb
-    u, s, vt = np.linalg.svd(Sa)
-    tol = max(Sa.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > tol))
-    if rank < Sa.shape[1]:
-        null = vt[rank:].T
-        leak = np.linalg.norm(Sb @ null, 2)
-        scale = np.linalg.norm(Sb, 2) + 1.0
-        if leak > 1e-10 * scale:
-            return float("inf")
-    pinv = np.linalg.pinv(Sa, rcond=1e-12)
-    return float(np.linalg.norm(Sb @ pinv, 2))
+    root_a = None if wa is None else np.sqrt(wa)[:, None]
+    root_b = None if wb is None else np.sqrt(wb)[:, None]
+
+    def at(xi: np.ndarray) -> float:
+        Sa, Sb = sym_a(xi), sym_b(xi)
+        if root_a is not None:
+            Sa = root_a * Sa
+        if root_b is not None:
+            Sb = root_b * Sb
+        u, s, vt = np.linalg.svd(Sa, full_matrices=False)
+        tol = max(Sa.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+        rank = int(np.sum(s > tol))
+        if rank < Sa.shape[1]:
+            null = np.linalg.svd(Sa)[2][rank:].T
+            leak = np.linalg.norm(Sb @ null, 2)
+            scale = np.linalg.norm(Sb, 2) + 1.0
+            if leak > 1e-10 * scale:
+                return float("inf")
+        large = s > 1e-12 * np.max(s)
+        s_inv = np.divide(1, s, out=np.zeros_like(s), where=large)
+        pinv = vt.T @ (s_inv[:, None] * u.T)
+        return float(np.linalg.norm(Sb @ pinv, 2))
+
+    return at
 
 
 def korn_constant_p2(
@@ -232,6 +248,7 @@ def korn_constant_p2(
     verdict = kernel_inclusion(pair)
     if not verdict.holds:
         raise InclusionFails("kernel inclusion fails; the constant is infinite")
+    quotient_norm = _symbol_quotient_norm(pair)
     rng = np.random.default_rng(seed)
     N = pair.calA.N
     best_val = -math.inf
@@ -239,7 +256,7 @@ def korn_constant_p2(
     for _ in range(samples):
         xi = rng.standard_normal(N)
         xi /= np.linalg.norm(xi)
-        val = _symbol_quotient_norm(pair, xi)
+        val = quotient_norm(xi)
         if val > 1e6:
             raise UnboundedSuspected("running supremum exceeded 1e6")
         if val > best_val:
@@ -257,7 +274,7 @@ def korn_constant_p2(
 
         def val_at(theta):
             x = math.cos(theta) * best_xi + math.sin(theta) * t
-            return _symbol_quotient_norm(pair, x)
+            return quotient_norm(x)
 
         a, b = -h, h
         fa_left = a + (1 - invphi) * (b - a)
@@ -362,21 +379,37 @@ class TrigField:
     d: int
     coeffs: dict  # freq tuple -> complex ndarray (d,)
 
-    def sample(self, n_grid: int, domain: str = "torus") -> GridField:
-        X = grid_points(self.N, n_grid)
+    def phases(self, X: np.ndarray) -> list:
+        """exp(2 pi i m . x) at the grid points X, one array per frequency m
+        in coefficient order, from the product ``np.tensordot`` would form."""
+        flat = X.reshape(-1, self.N)
+        return [np.exp(np.dot(flat, 2j * np.pi * np.array(m, dtype=float)[:, None]))
+                .reshape(X.shape[:-1]) for m in self.coeffs]
+
+    def values_from(self, phases: list, n_grid: int) -> np.ndarray:
+        """u on the n_grid^N grid whose ``phases`` are given."""
         vals = np.zeros((n_grid,) * self.N + (self.d,))
-        for m, c in self.coeffs.items():
-            phase = np.exp(np.tensordot(X, 2j * np.pi * np.array(m, dtype=float),
-                                        axes=([-1], [0])))
+        for c, phase in zip(self.coeffs.values(), phases):
             vals += np.real(c * phase[..., None])
-        return GridField(domain=domain, n=n_grid, values=vals)
+        return vals
+
+    def sample(self, n_grid: int, domain: str = "torus") -> GridField:
+        phases = self.phases(grid_points(self.N, n_grid))
+        return GridField(domain=domain, n=n_grid, values=self.values_from(phases, n_grid))
 
     def apply(self, op: DiffOp) -> "TrigField":
+        """op applied to u; the frequencies keep their order."""
+        symbol = float_symbol(op)
         out = {}
         for m, c in self.coeffs.items():
-            S = symbol_at_float(op, np.array(m, dtype=float)).astype(complex)
+            S = symbol(np.array(m, dtype=float)).astype(complex)
             out[m] = (2j * np.pi) ** op.k * (S @ c)
         return TrigField(N=self.N, d=op.l, coeffs=out)
+
+    def derivative(self, t: int) -> "TrigField":
+        """d/dx_t of u; the frequencies keep their order."""
+        return TrigField(N=self.N, d=self.d, coeffs={
+            m: (2j * np.pi * m[t]) * c for m, c in self.coeffs.items()})
 
 
 def random_trig_field(
@@ -458,10 +491,12 @@ def bb_ratio_experiment(
             max_residual = max(max_residual, abs(sigma @ c) /
                                (np.linalg.norm(c) * math.sqrt(nrm2) + 1e-300))
         v = TrigField(N=N, d=M_k, coeffs=proj)
-        vf = v.sample(n_grid, domain="cube")
+        vf = GridField(domain="cube", n=n_grid, values=v.values_from(v.phases(X), n_grid))
         # phi: bump times a random low-frequency trig combination
         phi_t = random_trig_field(rng, N, M_k, 2, 3)
-        phi_core = phi_t.sample(n_grid, domain="cube").values
+        phi_phases = phi_t.phases(X)
+        phi_core = GridField(domain="cube", n=n_grid,
+                             values=phi_t.values_from(phi_phases, n_grid)).values
         phi = bump[..., None] * phi_core
         if np.max(np.abs(phi)) == 0.0:
             ratios.append(0.0)
@@ -469,11 +504,7 @@ def bb_ratio_experiment(
         # D phi analytically: product rule on bump * trig
         dphi = np.zeros(X.shape[:-1] + (M_k, N))
         for t in range(N):
-            dcore = np.zeros_like(phi_core)
-            for m, c in phi_t.coeffs.items():
-                phase = np.exp(np.tensordot(
-                    X, 2j * np.pi * np.array(m, dtype=float), axes=([-1], [0])))
-                dcore += np.real((2j * np.pi * m[t]) * c * phase[..., None])
+            dcore = phi_t.derivative(t).values_from(phi_phases, n_grid)
             dphi[..., t] = dbump[t][..., None] * phi_core + bump[..., None] * dcore
         integral = abs(float(np.mean(np.sum(vf.values * phi, axis=-1))))
         v_l1 = lp_norm(vf, 1)
@@ -545,7 +576,8 @@ def sobolev_ratio_experiment(
     band = max(1, n_grid // 8)
 
     def run_at(ng):
-        basis_fields = _quotient_image_basis(pair.A, qspec, ng)
+        grid = grid_points(N, ng)
+        basis_fields = _quotient_image_basis(pair.A, qspec, grid)
         X = basis_fields.reshape(basis_fields.shape[0], -1).T  # points x basis
         u_svd, sv, vt = np.linalg.svd(X, full_matrices=False)
         rank = int(np.sum(sv > sv[0] * 1e-13)) if sv.size else 0
@@ -558,8 +590,10 @@ def sobolev_ratio_experiment(
         local_rng = np.random.default_rng(seed)
         for _ in range(trials):
             u = random_trig_field(local_rng, N, pair.calA.d, band, 5)
-            Au = u.apply(pair.A).sample(ng, domain="cube")
-            cAu = u.apply(pair.calA).sample(ng, domain="cube")
+            phases = u.phases(grid)  # u.apply keeps the frequency order
+            Au = GridField(domain="cube", n=ng, values=u.apply(pair.A).values_from(phases, ng))
+            cAu = GridField(domain="cube", n=ng,
+                            values=u.apply(pair.calA).values_from(phases, ng))
             Au_flat = Au.values.reshape(-1)
             resid = Au_flat - Q @ (Q.T @ Au_flat)
             num = GridField(domain="cube", n=ng,
@@ -593,10 +627,11 @@ def sobolev_ratio_experiment(
     return report
 
 
-def _quotient_image_basis(A: DiffOp, qspec, n_grid: int) -> np.ndarray:
-    """Fields A(x^gamma e_j) for the quotient basis, sampled on the cube."""
+def _quotient_image_basis(A: DiffOp, qspec, X: np.ndarray) -> np.ndarray:
+    """Fields A(x^gamma e_j) for the quotient basis, sampled on the cube
+    grid X (see ``grid_points``)."""
     N, d = qspec.N, qspec.d
-    X = grid_points(N, n_grid)
+    n_grid = X.shape[0]
     fields = []
     for gamma, j in qspec.basis:
         mono = [MultiPoly.zero(N) for _ in range(d)]

@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 from .exact import (
     MultiPoly,
     PolyMatrix,
-    ScalarMatrix,
     monomials_of_degree,
 )
 

@@ -4,6 +4,8 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from symcheck.analysis import (
     CERTIFIED_NO,
     CERTIFIED_YES,
@@ -15,6 +17,7 @@ from symcheck.analysis import (
 )
 from symcheck.exact import MultiPoly, monomials_of_degree
 from symcheck.groebner import zero_dim_origin
+from symcheck.numerics import TrigField, grid_points
 from symcheck.operators import DiffOp
 
 
@@ -178,3 +181,75 @@ def reference_is_elliptic(op, field, seed=0):
     if status == CERTIFIED_NO:
         return EllipticVerdict("R", False, CERTIFIED_NO, witness=witness)
     return EllipticVerdict("R", True, UNCERTIFIED_YES)
+
+
+# ---------------------------------------------------------------------------
+# reference implementations of the numerics: the float symbol converted on
+# every call, the quotient norm from a full SVD plus np.linalg.pinv, and
+# trig fields sampled with one tensordot and exp per frequency and use; the
+# bit-identity tests compare the library with them
+# ---------------------------------------------------------------------------
+
+
+def reference_symbol_at_float(op, xi):
+    """Numeric symbol sum_alpha A_alpha xi^alpha at a real xi."""
+    out = np.zeros((op.l, op.d))
+    for alpha, m in op.terms.items():
+        mono = 1.0
+        for x, e in zip(xi, alpha):
+            if e:
+                mono = mono * x ** e
+        out += mono * np.array([[float(c) for c in row] for row in m])
+    return out
+
+
+def reference_symbol_quotient_norm(pair, xi):
+    """max |A[xi] v| / |calA[xi] v| over v orthogonal to ker calA[xi]."""
+    Sa = reference_symbol_at_float(pair.calA, xi)
+    Sb = reference_symbol_at_float(pair.A, xi)
+    if pair.calA.weights is not None:
+        Sa = np.sqrt(np.array([float(w) for w in pair.calA.weights]))[:, None] * Sa
+    if pair.A.weights is not None:
+        Sb = np.sqrt(np.array([float(w) for w in pair.A.weights]))[:, None] * Sb
+    u, s, vt = np.linalg.svd(Sa)
+    tol = max(Sa.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+    rank = int(np.sum(s > tol))
+    if rank < Sa.shape[1]:
+        null = vt[rank:].T
+        leak = np.linalg.norm(Sb @ null, 2)
+        scale = np.linalg.norm(Sb, 2) + 1.0
+        if leak > 1e-10 * scale:
+            return float("inf")
+    pinv = np.linalg.pinv(Sa, rcond=1e-12)
+    return float(np.linalg.norm(Sb @ pinv, 2))
+
+
+def reference_trig_sample(u, n_grid):
+    """Values of u on the n_grid^N grid."""
+    X = grid_points(u.N, n_grid)
+    vals = np.zeros((n_grid,) * u.N + (u.d,))
+    for m, c in u.coeffs.items():
+        phase = np.exp(np.tensordot(X, 2j * np.pi * np.array(m, dtype=float),
+                                    axes=([-1], [0])))
+        vals += np.real(c * phase[..., None])
+    return vals
+
+
+def reference_trig_apply(u, op):
+    """op applied to u, frequency by frequency."""
+    out = {}
+    for m, c in u.coeffs.items():
+        S = reference_symbol_at_float(op, np.array(m, dtype=float)).astype(complex)
+        out[m] = (2j * np.pi) ** op.k * (S @ c)
+    return TrigField(N=u.N, d=op.l, coeffs=out)
+
+
+def reference_trig_derivative(u, n_grid, t):
+    """Values of d/dx_t u on the n_grid^N grid."""
+    X = grid_points(u.N, n_grid)
+    dcore = np.zeros((n_grid,) * u.N + (u.d,))
+    for m, c in u.coeffs.items():
+        phase = np.exp(np.tensordot(
+            X, 2j * np.pi * np.array(m, dtype=float), axes=([-1], [0])))
+        dcore += np.real((2j * np.pi * m[t]) * c * phase[..., None])
+    return dcore

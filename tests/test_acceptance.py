@@ -4,20 +4,16 @@ Each test covers one numbered criterion and prints a single PASS line when
 its assertions hold (run with -s to see the lines as they appear).
 """
 
-import json
 import math
 import random
 import time
-from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from symcheck.exact import MultiPoly, ScalarMatrix
 from symcheck.groebner import GroebnerBasis, TermOrder, buchberger_ideal, zero_dim_origin
 from symcheck.operators import OperatorPair, catalog, compose, grad_power, save_op
 from symcheck.analysis import (
-    CERTIFIED_YES,
     HypothesesNotMet,
     NotInImage,
     compute_W,

@@ -1,17 +1,15 @@
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from symcheck.analysis import find_witness, kernel_inclusion
+from symcheck.analysis import find_witness
 from symcheck.numerics import (
     GridField,
     NyquistViolation,
     PlaneWaveFamily,
     TrigField,
-    UnboundedSuspected,
     InclusionFails,
     apply_op_planewave,
     bb_ratio_experiment,
@@ -19,11 +17,22 @@ from symcheck.numerics import (
     grid_points,
     korn_constant_p2,
     lp_norm,
+    _symbol_quotient_norm,
+    float_symbol,
     planewave_field,
     random_trig_field,
     sobolev_ratio_experiment,
 )
-from symcheck.operators import OperatorPair, catalog, grad_power
+from symcheck.operators import DiffOp, OperatorPair, catalog, grad_power
+
+from helpers import (
+    rand_op,
+    reference_symbol_at_float,
+    reference_symbol_quotient_norm,
+    reference_trig_apply,
+    reference_trig_derivative,
+    reference_trig_sample,
+)
 
 
 def full_gradient(N):
@@ -199,3 +208,84 @@ class TestGridField:
     def test_bad_domain(self):
         with pytest.raises(ValueError):
             GridField("plane", 2, np.zeros((2, 2, 1)))
+
+
+def _reweighted(op, weights):
+    return DiffOp(op.name, op.N, op.d, op.l, op.k, op.terms, weights)
+
+
+def _unit_points(N, count, seed):
+    """The coordinate axes, then random unit vectors."""
+    rng = np.random.default_rng(seed)
+    points = list(np.eye(N))
+    for _ in range(count):
+        xi = rng.standard_normal(N)
+        points.append(xi / np.linalg.norm(xi))
+    return points
+
+
+class TestBitIdentity:
+    """The numerics against the reference implementations in helpers.py,
+    float for float."""
+
+    PAIRS = {
+        "sym_gradient(2) -> D": lambda: (catalog("sym_gradient", 2), full_gradient(2)),
+        "sym_gradient(3) -> D": lambda: (catalog("sym_gradient", 3), full_gradient(3)),
+        "reweighted sym_gradient(3) -> weighted D": lambda: (
+            _reweighted(catalog("sym_gradient", 3), (1, 3, 2, 5, 1, 7)),
+            _reweighted(full_gradient(3), tuple(range(1, 10)))),
+        # rank 2 < d = l: the kernel xi is in the reduced SVD as well
+        "curl(3) -> curl(3)": lambda: (catalog("curl", 3), catalog("curl", 3)),
+        # l = 1 < d = 2: the kernel needs the full SVD
+        "divergence(2) -> divergence(2)": lambda: (
+            catalog("divergence", 2), catalog("divergence", 2)),
+        # the kernel of calA leaks through A: inf at every xi
+        "divergence(2) -> D": lambda: (catalog("divergence", 2), full_gradient(2)),
+    }
+
+    @pytest.mark.parametrize("name", list(PAIRS))
+    def test_quotient_norm(self, name):
+        calA, A = self.PAIRS[name]()
+        pair = OperatorPair(calA, A, "korn")
+        quotient_norm = _symbol_quotient_norm(pair)
+        values = []
+        for xi in _unit_points(calA.N, 400, seed=len(name)):
+            value = quotient_norm(xi)
+            assert value.hex() == reference_symbol_quotient_norm(pair, xi).hex()
+            values.append(value)
+        leaks = name == "divergence(2) -> D"
+        assert [math.isinf(v) for v in values] == [leaks] * len(values)
+
+    def test_float_symbol(self):
+        rng = random.Random(0)
+        nrng = np.random.default_rng(0)
+        ops = [catalog("sym_gradient", 3), catalog("curl", 3), catalog("bilaplacian", 2)]
+        ops += [rand_op(rng, N=rng.randint(2, 3), k=rng.randint(1, 3)) for _ in range(20)]
+        for op in ops:
+            symbol = float_symbol(op)
+            points = [nrng.standard_normal(op.N) for _ in range(20)]
+            points += [np.array(nrng.integers(-4, 5, size=op.N), dtype=float)
+                       for _ in range(10)]
+            for xi in points:
+                assert np.array_equal(symbol(xi), reference_symbol_at_float(op, xi))
+
+    @pytest.mark.parametrize("N,d,n_grid", [(2, 1, 16), (2, 3, 32), (3, 2, 12)])
+    def test_trig_sample_apply_and_derivative(self, N, d, n_grid):
+        rng = np.random.default_rng(N * d)
+        u = random_trig_field(rng, N, d, 4, 6)
+        for domain in ("torus", "cube"):
+            assert np.array_equal(u.sample(n_grid, domain).values,
+                                  reference_trig_sample(u, n_grid))
+        for t in range(N):
+            assert np.array_equal(u.derivative(t).sample(n_grid).values,
+                                  reference_trig_derivative(u, n_grid, t))
+        for op in (full_gradient(N) if d == 1 else catalog("divergence", N),
+                   grad_power(2, d, N)):
+            if op.d != d:
+                continue
+            Au = u.apply(op)
+            ref = reference_trig_apply(u, op)
+            assert list(Au.coeffs) == list(ref.coeffs)
+            assert all(np.array_equal(Au.coeffs[m], ref.coeffs[m]) for m in ref.coeffs)
+            assert np.array_equal(Au.sample(n_grid).values,
+                                  reference_trig_sample(ref, n_grid))

@@ -1,10 +1,9 @@
-import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from symcheck.exact import MultiPoly, monomials_of_degree
+from symcheck.exact import MultiPoly
 from symcheck.operators import (
     DiffOp,
     OperatorFormatError,
