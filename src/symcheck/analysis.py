@@ -21,13 +21,14 @@ from .exact import (
     MultiPoly,
     PolyMatrix,
     ScalarMatrix,
+    monomials_of_degree,
     monomials_up_to_degree,
     projector_onto_complement,
     reduce_basis,
     subspace_intersect,
 )
 from .groebner import GroebnerBasis, TermOrder, zero_dim_origin
-from .operators import DiffOp, OperatorPair, compose, grad_power, ordered_tuples
+from .operators import DiffOp, OperatorPair, compose, grad_power, multi_index, ordered_tuples
 
 CERTIFIED_YES = "CERTIFIED_YES"
 CERTIFIED_NO = "CERTIFIED_NO"
@@ -385,7 +386,6 @@ def find_witness(
     if verdict.holds:
         raise ValueError("find_witness requires a failing inclusion verdict")
     mu = verdict.failing_minor
-    rho = verdict.rank
     radius = max(1, -(-mu.degree() // 2))
     grid = _sphere_like_grid(pair.calA.N, radius)
     for p in itertools.islice(grid, max(budget, 1)):
@@ -393,8 +393,6 @@ def find_witness(
         if mu.evaluate(point) == 0:
             continue
         calA_xi = pair.calA.symbol().evaluate(point)
-        if calA_xi.rank() != rho:
-            continue
         A_xi = pair.A.symbol().evaluate(point)
         for v in calA_xi.kernel_basis():
             res = A_xi.apply(v)
@@ -419,29 +417,25 @@ def construct_L(
 
     The rows of L are module-membership coefficients of the rows
     xi^b * A_i[xi] in the row module of the symbol of calA, all reduced by
-    one Groebner basis of that module.
+    one Groebner basis of that module. L has order s + ord A - ord calA,
+    which is also the degree of its coefficients.
     """
     if verdict is None:
         verdict = kernel_inclusion(pair, seed=seed)
     if not verdict.holds:
         raise ValueError("construct_L requires kernel inclusion to hold")
     calA, A = pair.calA, pair.A
-    N, d = calA.N, calA.d
+    N = calA.N
     sym_calA = calA.symbol()
-    gens = []
-    gen_rows = []
-    for i in range(calA.l):
-        row = tuple(sym_calA.entries[i])
-        if not all(p.is_zero for p in row):
-            gens.append(row)
-            gen_rows.append(i)
-    basis = GroebnerBasis(gens, TermOrder("grevlex"))
+    gen_rows = [i for i, row in enumerate(sym_calA.entries) if any(row)]
+    basis = GroebnerBasis([sym_calA.entries[i] for i in gen_rows], TermOrder("grevlex"))
     sym_A = A.symbol()
     for s in range(0, s_max + 1):
-        coeff_rows = _try_factor_at_s(sym_A, basis, s, N)
+        order_L = s + A.k - calA.k
+        coeff_rows = _factor_rows(sym_A, basis, s, order_L)
         if coeff_rows is None:
             continue
-        L = _assemble_L(pair, coeff_rows, gen_rows, s)
+        L = _assemble_L(pair, coeff_rows, gen_rows, s, order_L)
         lhs = compose(grad_power(s, A.l, N), A).symbol()
         rhs = L.symbol() @ sym_calA
         if lhs != rhs:
@@ -450,43 +444,32 @@ def construct_L(
     raise SMaxExceeded(s_max)
 
 
-def _try_factor_at_s(sym_A, basis, s, N):
-    """Membership coefficients for every row xi^b A_i, or None."""
-    gens = basis.input_gens
-    k_gen = next(
-        p.homogeneous_degree() for g in gens for p in g if not p.is_zero
-    )
-    coeff_rows = []
-    for b in ordered_tuples(N, s):
-        exp = [0] * N
-        for j in b:
-            exp[j] += 1
-        mono = MultiPoly.monomial(N, tuple(exp))
-        for i in range(sym_A.rows):
-            target = tuple(mono * p for p in sym_A.entries[i])
-            coeffs = basis.express(target)
+def _factor_rows(sym_A, basis, s, degree):
+    """Coefficients of every row xi^b A_i over the generators, or None.
+
+    Each target depends on the monomial xi^b only, so it is expressed once
+    per monomial; the rows come out in the row order of D^s, tuple b first,
+    then i. The target is homogeneous of degree `degree` plus the
+    generators' degree, so the degree-`degree` component of any
+    representation still represents it.
+    """
+    N = sym_A.nvars
+    by_monomial = {}
+    for exp in monomials_of_degree(N, s):
+        mono = MultiPoly.monomial(N, exp)
+        rows = []
+        for entries in sym_A.entries:
+            coeffs = basis.express(tuple(mono * p for p in entries))
             if coeffs is None:
                 return None
-            target_deg = None
-            for p in target:
-                hd = p.homogeneous_degree()
-                if hd is not None and hd >= 0:
-                    target_deg = hd
-                    break
-            if target_deg is None:
-                homog = [MultiPoly.zero(N) for _ in coeffs]
-            else:
-                homog = [c.homogeneous_component(target_deg - k_gen) for c in coeffs]
-                acc = tuple(MultiPoly.zero(N) for _ in target)
-                for c, g in zip(homog, gens):
-                    acc = tuple(a + c * p for a, p in zip(acc, g))
-                if acc != target:
-                    return None
-            coeff_rows.append(homog)
-    return coeff_rows
+            rows.append([c.homogeneous_component(degree) for c in coeffs])
+        by_monomial[exp] = rows
+    return [
+        row for b in ordered_tuples(N, s) for row in by_monomial[multi_index(b, N)]
+    ]
 
 
-def _assemble_L(pair, coeff_rows, gen_rows, s):
+def _assemble_L(pair, coeff_rows, gen_rows, s, order_L):
     calA = pair.calA
     N, l_calA = calA.N, calA.l
     n_rows = len(coeff_rows)
@@ -499,11 +482,6 @@ def _assemble_L(pair, coeff_rows, gen_rows, s):
                     exp, [[Fraction(0)] * l_calA for _ in range(n_rows)]
                 )
                 m[r][j] += coef
-    order_L = s if pair.mode == "korn" else s - 1
-    if not terms:
-        # L is the zero map; encode as a single zero-order term of zeros is
-        # not allowed, so use an explicit zero on the lowest multi-index
-        raise AssertionError("factorization produced an identically zero L")
     return DiffOp(f"L[{pair.calA.name}->{pair.A.name},s={s}]",
                   N, l_calA, n_rows, order_L, terms)
 
@@ -612,19 +590,17 @@ def construct_annihilator(
     l = op.l
     M = sym @ sym.transpose()
     cs_full = M.charpoly()  # c_0..c_{l-1} of det(lambda Id - M)
-    for j in range(l - rho):
-        if not cs_full[j].is_zero:
-            raise DegenerateCharpoly(
-                "charpoly has a nonzero coefficient below the rank gap"
-            )
+    if any(cs_full[: l - rho]):
+        raise DegenerateCharpoly("charpoly has a nonzero coefficient below the rank gap")
     shifted = cs_full[l - rho : l - rho + rho]  # c_0..c_{rho-1} of the factor
     if not shifted or shifted[0].is_zero:
         raise DegenerateCharpoly("constant coefficient of the rank factor vanishes")
-    nv = op.N
-    B = M.power(rho)
-    for j in range(1, rho):
-        B = B + M.power(j).scale_poly(shifted[j])
-    B = B + PolyMatrix.identity(l, nv).scale_poly(shifted[0])
+    identity = PolyMatrix.identity(l, op.N)
+    # Horner: B = (...((M + c_{rho-1}) M + c_{rho-2}) M ...) M + c_0
+    B = M
+    for c in reversed(shifted[1:]):
+        B = (B + identity.scale_poly(c)) @ M
+    B = B + identity.scale_poly(shifted[0])
     sign = (-1) ** rho
     B = B.scale(Fraction(sign))
     prod = B @ sym
@@ -737,13 +713,6 @@ def _constant_case_lift(op: DiffOp, c: Sequence) -> list:
     return out
 
 
-def _factorial_multi(alpha) -> int:
-    out = 1
-    for a in alpha:
-        out *= math.factorial(a)
-    return out
-
-
 def polynomial_lift(A: DiffOp, pi: Sequence[MultiPoly]) -> PolynomialLift:
     """Polynomial Pi with A Pi = pi and deg Pi <= deg pi + k (exact).
 
@@ -753,33 +722,28 @@ def polynomial_lift(A: DiffOp, pi: Sequence[MultiPoly]) -> PolynomialLift:
     """
     if len(pi) != A.l:
         raise ValueError("target dimension mismatch")
-    N, k = A.N, A.k
+    N = A.N
     deg = max((p.degree() for p in pi), default=-1)
     Pi = [MultiPoly.zero(N) for _ in range(A.d)]
     for s in range(0, max(deg, -1) + 1):
         comp = [p.homogeneous_component(s) for p in pi]
         if all(p.is_zero for p in comp):
             continue
-        T = compose(grad_power(s, A.l, N), A) if s > 0 else A
+        T = compose(grad_power(s, A.l, N), A)
         # constant target: all order-s derivatives of the component
-        if s == 0:
-            c = [p.terms.get((0,) * N, Fraction(0)) for p in comp]
-        else:
-            c = []
-            for b in ordered_tuples(N, s):
-                alpha = [0] * N
-                for j in b:
-                    alpha[j] += 1
-                for i in range(A.l):
-                    dp = comp[i].derivative_multi(alpha)
-                    c.append(dp.terms.get((0,) * N, Fraction(0)))
+        c = [
+            p.derivative_multi(multi_index(b, N)).terms.get((0,) * N, Fraction(0))
+            for b in ordered_tuples(N, s)
+            for p in comp
+        ]
         valphas = _constant_case_lift(T, c)
         if valphas is None:
             raise NotInImage(
                 f"homogeneous component of degree {s} is not in the image"
             )
         for alpha, v in valphas.items():
-            mono = MultiPoly.monomial(N, alpha, Fraction(1, _factorial_multi(alpha)))
+            scale = Fraction(1, math.prod(map(math.factorial, alpha)))
+            mono = MultiPoly.monomial(N, alpha, scale)
             Pi = [q + mono * v_j for q, v_j in zip(Pi, v)]
     check = A.apply_to_poly(Pi)
     if list(check) != list(pi):

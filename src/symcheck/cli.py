@@ -39,6 +39,7 @@ from .numerics import (
     InclusionFails,
     IllConditionedQuotient,
     NyquistViolation,
+    ParameterError,
     UnboundedSuspected,
     bb_ratio_experiment,
     counterexample_blowup,
@@ -423,7 +424,7 @@ def main(argv=None) -> int:
         parser.error(f"experiment {args.kind} requires -a and -A operator files")
     try:
         return args.func(args)
-    except OperatorFormatError as exc:
+    except (OperatorFormatError, ParameterError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MacaulayBudgetExceeded as exc:

@@ -30,6 +30,10 @@ class NyquistViolation(Exception):
     pass
 
 
+class ParameterError(ValueError):
+    """An experiment parameter is out of range (exit 4 on the command line)."""
+
+
 class UnboundedSuspected(Exception):
     """The running supremum of the symbol-quotient norm exceeded 1e6,
     indicating a real kernel-inclusion failure."""
@@ -447,7 +451,7 @@ def bb_ratio_experiment(
     of each Fourier coefficient onto the kernel of the div^k symbol row.
     """
     if N < 2:
-        raise ValueError("N must be at least 2")
+        raise ParameterError(f"N must be at least 2, got N = {N}")
     betas = _div_k_betas(N, k)
     M_k = len(betas)
     rng = np.random.default_rng(seed)
@@ -560,10 +564,10 @@ def sobolev_ratio_experiment(
     grid refinement.
     """
     if pair.mode != "sobolev":
-        raise ValueError("sobolev_ratio_experiment requires a sobolev-mode pair")
+        raise ParameterError("sobolev_ratio_experiment requires a sobolev-mode pair")
     N = pair.calA.N
     if not (1 <= p < N):
-        raise ValueError("need 1 <= p < N")
+        raise ParameterError(f"need 1 <= p < N = {N}, got p = {p}")
     p_star = N * p / (N - p)
     verdict = kernel_inclusion(pair)
     if not verdict.holds:

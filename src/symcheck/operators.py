@@ -144,12 +144,15 @@ class OperatorPair:
 
     def __init__(self, calA: DiffOp, A: DiffOp, mode: str = "korn"):
         if mode not in ("korn", "sobolev"):
-            raise ValueError(f"unknown mode {mode!r}")
+            raise OperatorFormatError(f"unknown mode {mode!r}")
         if calA.N != A.N or calA.d != A.d:
-            raise ValueError("operator pair must share N and d")
+            raise OperatorFormatError(
+                f"operator pair must share N and d: calA has N={calA.N}, "
+                f"d={calA.d}; A has N={A.N}, d={A.d}"
+            )
         expected = calA.k if mode == "korn" else calA.k - 1
         if A.k != expected:
-            raise ValueError(
+            raise OperatorFormatError(
                 f"mode {mode}: order of A must be {expected}, got {A.k}"
             )
         object.__setattr__(self, "calA", calA)
@@ -179,7 +182,7 @@ def compose(L: DiffOp, A: DiffOp) -> DiffOp:
             gamma = tuple(a + b for a, b in zip(alpha, beta))
             prod = [
                 [
-                    sum(La[i][t] * Ab[t][j] for t in range(L.d))
+                    sum(La[i][t] * Ab[t][j] for t in range(L.d) if La[i][t])
                     for j in range(A.d)
                 ]
                 for i in range(L.l)
@@ -201,6 +204,14 @@ def ordered_tuples(N: int, s: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(N), repeat=s))
 
 
+def multi_index(b: Sequence[int], N: int) -> tuple[int, ...]:
+    """The multi-index alpha of xi_b1 * ... * xi_bs: alpha_j counts j in b."""
+    alpha = [0] * N
+    for j in b:
+        alpha[j] += 1
+    return tuple(alpha)
+
+
 def grad_power(s: int, e: int, N: int) -> DiffOp:
     """The operator D^s on R^e-valued fields, rows indexed by (tuple, i).
 
@@ -214,12 +225,8 @@ def grad_power(s: int, e: int, N: int) -> DiffOp:
     l = len(tuples) * e
     terms: dict = {}
     for t_idx, b in enumerate(tuples):
-        alpha = [0] * N
-        for j in b:
-            alpha[j] += 1
-        alpha = tuple(alpha)
         m = terms.setdefault(
-            alpha, [[Fraction(0)] * e for _ in range(l)]
+            multi_index(b, N), [[Fraction(0)] * e for _ in range(l)]
         )
         for i in range(e):
             m[t_idx * e + i][i] += 1

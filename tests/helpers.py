@@ -11,14 +11,29 @@ from symcheck.analysis import (
     CERTIFIED_YES,
     REAL_SAMPLE_BUDGET,
     UNCERTIFIED_YES,
+    Annihilator,
+    DegenerateCharpoly,
     EllipticVerdict,
+    FactorizationCertificate,
+    NotInImage,
+    PolynomialLift,
+    SMaxExceeded,
+    _constant_case_lift,
     _random_int_point,
     _sphere_like_grid,
+    rank_profile,
 )
-from symcheck.exact import MultiPoly, monomials_of_degree
-from symcheck.groebner import zero_dim_origin
+from symcheck.exact import MultiPoly, PolyMatrix, monomials_of_degree
+from symcheck.groebner import GroebnerBasis, TermOrder, zero_dim_origin
 from symcheck.numerics import TrigField, grid_points
-from symcheck.operators import DiffOp
+from symcheck.operators import (
+    DiffOp,
+    OperatorPair,
+    catalog,
+    compose,
+    grad_power,
+    ordered_tuples,
+)
 
 
 def rand_fraction(rng, span=6):
@@ -93,6 +108,39 @@ def rand_pencil(rng, N, planted=None, definite=False):
                         for a in alphas)
             terms[pure][row][0] -= value / planted[j] ** 2
     return DiffOp("pencil", N, 1, 2, 2, terms)
+
+
+def catalog_pair_grid():
+    """Every korn pair of catalog operators and full gradients whose N, d
+    and order agree."""
+    ops = [catalog(n, N) for n, N in [
+        ("gradient", 2), ("gradient", 3), ("divergence", 2), ("divergence", 3),
+        ("curl", 2), ("curl", 3), ("sym_gradient", 2), ("sym_gradient", 3),
+        ("laplacian", 2), ("cauchy_riemann", 2),
+    ]] + [grad_power(1, 2, 2), grad_power(1, 3, 3)]
+    pairs = []
+    for calA in ops:
+        for A in ops:
+            if (calA.N, calA.d, calA.k) == (A.N, A.d, A.k):
+                pairs.append(OperatorPair(calA, A, "korn"))
+    return pairs
+
+
+def tf_sym_gradient(N):
+    """Trace-free symmetric gradient: rows e_ii - div/N for i < N-1, then
+    the off-diagonal e_ij = (d_i u_j + d_j u_i)/2 for i < j."""
+    pairs = [(i, i) for i in range(N - 1)] + [
+        (i, j) for i in range(N) for j in range(i + 1, N)]
+    terms = {}
+    for var in range(N):
+        m = [[Fraction(0)] * N for _ in pairs]
+        for r, (i, j) in enumerate(pairs):
+            if i == j:
+                m[r][var] = int(var == i) - Fraction(1, N)
+            elif var in (i, j):
+                m[r][j if var == i else i] = Fraction(1, 2)
+        terms[tuple(int(v == var) for v in range(N))] = m
+    return DiffOp("tf_sym_gradient", N, N, len(pairs), 1, terms)
 
 
 def grid_hiding_pair():
@@ -253,3 +301,162 @@ def reference_trig_derivative(u, n_grid, t):
             X, 2j * np.pi * np.array(m, dtype=float), axes=([-1], [0])))
         dcore += np.real((2j * np.pi * m[t]) * c * phase[..., None])
     return dcore
+
+
+# ---------------------------------------------------------------------------
+# reference implementations of the certificates as they were built before
+# each factorization target was expressed once per monomial with one final
+# check of D^s A = L calA, before the lift lost its s = 0 branch and before
+# the annihilator moved to Horner's rule; the differential tests compare
+# the library with them
+# ---------------------------------------------------------------------------
+
+
+def reference_construct_L(pair, s_max=6):
+    """Smallest s with D^s A = L calA: one `express` per ordered tuple b and
+    row i, each representation cut to its homogeneous part and re-checked.
+    The pair's kernel inclusion must hold."""
+    calA, A = pair.calA, pair.A
+    N = calA.N
+    sym_calA = calA.symbol()
+    gens = []
+    gen_rows = []
+    for i in range(calA.l):
+        row = tuple(sym_calA.entries[i])
+        if not all(p.is_zero for p in row):
+            gens.append(row)
+            gen_rows.append(i)
+    basis = GroebnerBasis(gens, TermOrder("grevlex"))
+    sym_A = A.symbol()
+    for s in range(0, s_max + 1):
+        coeff_rows = _reference_factor_at_s(sym_A, basis, s, N)
+        if coeff_rows is None:
+            continue
+        L = _reference_assemble_L(pair, coeff_rows, gen_rows, s)
+        lhs = compose(grad_power(s, A.l, N), A).symbol()
+        assert lhs == L.symbol() @ sym_calA
+        return FactorizationCertificate(s=s, L=L, verified=True)
+    raise SMaxExceeded(s_max)
+
+
+def _reference_factor_at_s(sym_A, basis, s, N):
+    gens = basis.input_gens
+    k_gen = next(
+        p.homogeneous_degree() for g in gens for p in g if not p.is_zero
+    )
+    coeff_rows = []
+    for b in ordered_tuples(N, s):
+        exp = [0] * N
+        for j in b:
+            exp[j] += 1
+        mono = MultiPoly.monomial(N, tuple(exp))
+        for i in range(sym_A.rows):
+            target = tuple(mono * p for p in sym_A.entries[i])
+            coeffs = basis.express(target)
+            if coeffs is None:
+                return None
+            target_deg = None
+            for p in target:
+                hd = p.homogeneous_degree()
+                if hd is not None and hd >= 0:
+                    target_deg = hd
+                    break
+            if target_deg is None:
+                homog = [MultiPoly.zero(N) for _ in coeffs]
+            else:
+                homog = [c.homogeneous_component(target_deg - k_gen) for c in coeffs]
+                acc = tuple(MultiPoly.zero(N) for _ in target)
+                for c, g in zip(homog, gens):
+                    acc = tuple(a + c * p for a, p in zip(acc, g))
+                if acc != target:
+                    return None
+            coeff_rows.append(homog)
+    return coeff_rows
+
+
+def _reference_assemble_L(pair, coeff_rows, gen_rows, s):
+    calA = pair.calA
+    N, l_calA = calA.N, calA.l
+    n_rows = len(coeff_rows)
+    terms = {}
+    for r, homog in enumerate(coeff_rows):
+        for j_local, c in enumerate(homog):
+            j = gen_rows[j_local]
+            for exp, coef in c.terms.items():
+                m = terms.setdefault(
+                    exp, [[Fraction(0)] * l_calA for _ in range(n_rows)]
+                )
+                m[r][j] += coef
+    order_L = s if pair.mode == "korn" else s - 1
+    return DiffOp(f"L[{pair.calA.name}->{pair.A.name},s={s}]",
+                  N, l_calA, n_rows, order_L, terms)
+
+
+def reference_polynomial_lift(A, pi):
+    """Lift of pi through A, the degree-0 component through A itself."""
+    N = A.N
+    deg = max((p.degree() for p in pi), default=-1)
+    Pi = [MultiPoly.zero(N) for _ in range(A.d)]
+    for s in range(0, max(deg, -1) + 1):
+        comp = [p.homogeneous_component(s) for p in pi]
+        if all(p.is_zero for p in comp):
+            continue
+        T = compose(grad_power(s, A.l, N), A) if s > 0 else A
+        if s == 0:
+            c = [p.terms.get((0,) * N, Fraction(0)) for p in comp]
+        else:
+            c = []
+            for b in ordered_tuples(N, s):
+                alpha = [0] * N
+                for j in b:
+                    alpha[j] += 1
+                for i in range(A.l):
+                    dp = comp[i].derivative_multi(alpha)
+                    c.append(dp.terms.get((0,) * N, Fraction(0)))
+        valphas = _constant_case_lift(T, c)
+        if valphas is None:
+            raise NotInImage(
+                f"homogeneous component of degree {s} is not in the image"
+            )
+        for alpha, v in valphas.items():
+            scale = Fraction(1, math.prod(math.factorial(a) for a in alpha))
+            mono = MultiPoly.monomial(N, alpha, scale)
+            Pi = [q + mono * v_j for q, v_j in zip(Pi, v)]
+    assert list(A.apply_to_poly(Pi)) == list(pi)
+    return PolynomialLift(pi=tuple(pi), Pi=tuple(Pi))
+
+
+def reference_annihilator(op, seed=0):
+    """Cayley-Hamilton annihilator with each power M^j computed afresh."""
+    profile = rank_profile(op, seed=seed)
+    if profile.constant_rank_R == CERTIFIED_NO:
+        raise DegenerateCharpoly("real constant rank refuted")
+    sym = op.symbol()
+    rho = profile.generic_rank
+    l = op.l
+    M = sym @ sym.transpose()
+    cs_full = M.charpoly()
+    if any(not cs_full[j].is_zero for j in range(l - rho)):
+        raise DegenerateCharpoly("charpoly has a nonzero coefficient below the rank gap")
+    shifted = cs_full[l - rho:]
+    if not shifted or shifted[0].is_zero:
+        raise DegenerateCharpoly("constant coefficient of the rank factor vanishes")
+    B = M.power(rho)
+    for j in range(1, rho):
+        B = B + M.power(j).scale_poly(shifted[j])
+    B = B + PolyMatrix.identity(l, op.N).scale_poly(shifted[0])
+    sign = (-1) ** rho
+    B = B.scale(Fraction(sign))
+    assert (B @ sym).is_zero
+    order = 2 * op.k * rho
+    b_op = None
+    if not B.is_zero:
+        terms = {}
+        for i in range(l):
+            for j in range(l):
+                for exp, c in B.entries[i][j].terms.items():
+                    m = terms.setdefault(exp, [[Fraction(0)] * l for _ in range(l)])
+                    m[i][j] += c
+        b_op = DiffOp(f"ann[{op.name}]", op.N, l, l, order, terms)
+    return Annihilator(op=b_op, order=order, charpoly_coeffs=tuple(shifted),
+                       m=l, sign=sign)

@@ -29,7 +29,7 @@ from symcheck.analysis import (
 )
 from symcheck.numerics import bb_ratio_experiment, counterexample_blowup, korn_constant_p2
 from symcheck.cli import main
-from helpers import rand_op, rand_point, rand_poly
+from helpers import catalog_pair_grid, rand_op, rand_point, rand_poly
 
 
 def _pass(n, msg):
@@ -93,23 +93,9 @@ def test_criterion_02_complex_ellipticity_implies_cancellation():
              f"{len(checked)} catalog + 100 random operators")
 
 
-def _catalog_pair_grid():
-    ops = [catalog(n, N) for n, N in [
-        ("gradient", 2), ("gradient", 3), ("divergence", 2), ("divergence", 3),
-        ("curl", 2), ("curl", 3), ("sym_gradient", 2), ("sym_gradient", 3),
-        ("laplacian", 2), ("cauchy_riemann", 2),
-    ]] + [full_gradient(2), full_gradient(3)]
-    pairs = []
-    for calA in ops:
-        for A in ops:
-            if (calA.N, calA.d, calA.k) == (A.N, A.d, A.k):
-                pairs.append(OperatorPair(calA, A, "korn"))
-    return pairs
-
-
 def test_criterion_03_factorization_equivalence():
     checked = skipped = 0
-    for pair in _catalog_pair_grid():
+    for pair in catalog_pair_grid():
         profile = rank_profile(pair.calA, want_real=False)
         if not profile.constant_rank_C:
             with pytest.raises(HypothesesNotMet):
@@ -227,7 +213,7 @@ def test_criterion_08_claims():
             acc = acc + (C @ ScalarMatrix(ann.op.terms[beta]))
         assert acc == rep.P_Wperp, name
     annihilation_checked = 0
-    for pair in _catalog_pair_grid():
+    for pair in catalog_pair_grid():
         profile = rank_profile(pair.calA, want_real=False)
         if not profile.constant_rank_C:
             continue

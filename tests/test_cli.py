@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import symcheck
 from symcheck import analysis
 from symcheck.cli import main
 from symcheck.operators import DiffOp, catalog, grad_power, op_to_dict, save_op
@@ -228,6 +233,74 @@ class TestExperiment:
     def test_missing_pair_arguments(self, capsys):
         with pytest.raises(SystemExit):
             main(["experiment", "korn2"])
+
+
+class TestMismatchedPair:
+    """A pair that does not fit together is an input error: exit 4 and the
+    reason on stderr, never a traceback."""
+
+    @pytest.fixture
+    def more_ops(self, ops_dir):
+        save_op(catalog("gradient", 3), ops_dir / "gradient3.json")
+        save_op(catalog("laplacian", 2), ops_dir / "lap2.json")
+        save_op(grad_power(0, 1, 2), ops_dir / "id2.json")
+        return ops_dir
+
+    def run(self, capsys, argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("calA,A,reason", [
+        ("gradient2.json", "gradient3.json", "share N and d"),
+        ("symgrad2.json", "gradient2.json", "share N and d"),
+        ("gradient2.json", "lap2.json", "order of A must be 1"),
+    ])
+    def test_compare(self, more_ops, capsys, calA, A, reason):
+        err = self.run(capsys, ["compare", "-a", str(more_ops / calA),
+                                "-A", str(more_ops / A)])
+        assert reason in err
+
+    @pytest.mark.parametrize("kind", ["korn2", "blowup", "sobolev"])
+    def test_experiments(self, more_ops, capsys, kind):
+        err = self.run(capsys, ["experiment", kind, "-a", str(more_ops / "gradient2.json"),
+                                "-A", str(more_ops / "gradient3.json")])
+        assert "share N and d" in err
+
+    def test_sobolev_mode_order(self, more_ops, capsys):
+        err = self.run(capsys, ["experiment", "sobolev", "--mode", "sobolev",
+                                "-a", str(more_ops / "gradient2.json"),
+                                "-A", str(more_ops / "gradient2.json")])
+        assert "order of A must be 0" in err
+
+    def test_sobolev_experiment_needs_sobolev_mode(self, more_ops, capsys):
+        err = self.run(capsys, ["experiment", "sobolev",
+                                "-a", str(more_ops / "gradient2.json"),
+                                "-A", str(more_ops / "gradient2.json")])
+        assert "sobolev-mode pair" in err
+
+    def test_sobolev_exponent_at_least_N(self, more_ops, capsys):
+        err = self.run(capsys, ["experiment", "sobolev", "--mode", "sobolev", "--p", "2",
+                                "-a", str(more_ops / "gradient2.json"),
+                                "-A", str(more_ops / "id2.json")])
+        assert "1 <= p < N" in err
+
+    def test_bb_in_one_dimension(self, capsys):
+        err = self.run(capsys, ["experiment", "bb", "--N", "1"])
+        assert "N must be at least 2" in err
+
+    def test_exit_code_of_the_process(self, more_ops):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(symcheck.__file__).parent.parent), env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-m", "symcheck.cli", "compare",
+             "-a", str(more_ops / "gradient2.json"), "-A", str(more_ops / "gradient3.json")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 4
+        assert "share N and d" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestCatalogCommand:
