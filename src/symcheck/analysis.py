@@ -24,7 +24,6 @@ from .exact import (
     monomials_of_degree,
     monomials_up_to_degree,
     projector_onto_complement,
-    reduce_basis,
     subspace_intersect,
 )
 from .groebner import GroebnerBasis, TermOrder, zero_dim_origin
@@ -175,20 +174,24 @@ def _sphere_like_grid(N: int, radius: int):
                 yield p
 
 
-def _random_int_point(rng: random.Random, N: int, radius: int):
+def _sample_points(rng: random.Random, N: int, grid_radius: int, radius: int):
+    """Nonzero integer points without end: the shell grid of `grid_radius`,
+    then random points with coordinates in [-radius, radius]."""
+    yield from _sphere_like_grid(N, grid_radius)
     while True:
         p = tuple(rng.randint(-radius, radius) for _ in range(N))
         if any(p):
-            return p
+            yield p
 
 
-def generic_rank(sym: PolyMatrix, seed: int = 0) -> int:
+def generic_rank(sym: PolyMatrix) -> int:
     """Largest r with a not-identically-zero r x r minor.
 
-    Starts from the rank at a sample point and raises while some larger
-    minor is a nonzero polynomial.
+    Starts from the rank at one fixed point and raises while some larger
+    minor is a nonzero polynomial. The rank at any point is a lower bound,
+    so the answer does not depend on the point.
     """
-    rng = random.Random(seed)
+    rng = random.Random(0)
     point = tuple(
         Fraction(rng.randint(1, 7), rng.randint(1, 5)) for _ in range(sym.nvars)
     )
@@ -211,11 +214,10 @@ def rank_profile(
     op: DiffOp,
     *,
     want_real: bool = True,
-    real_samples: int = REAL_SAMPLE_BUDGET,
     seed: int = 0,
 ) -> RankProfile:
     sym = op.symbol()
-    rho = generic_rank(sym, seed=seed)
+    rho = generic_rank(sym)
     rho_minors = [m for m in sym.minors(rho) if not m.is_zero]
     const_C = zero_dim_origin(rho_minors)
     if const_C:
@@ -225,7 +227,9 @@ def rank_profile(
     elif not want_real:
         const_R, witness = UNCERTIFIED_YES, None
     else:
-        const_R, witness = _real_constant_rank(sym, rho_minors, real_samples, seed)
+        const_R, witness = _real_constant_rank(
+            sym, rho_minors, REAL_SAMPLE_BUDGET, seed
+        )
     return RankProfile(
         generic_rank=rho,
         kernel_dim=op.d - rho,
@@ -240,11 +244,7 @@ def _real_constant_rank(sym, rho_minors, budget, seed):
     radius-3 grid, then random points of radius 50, `budget` points in all
     (at least one)."""
     vanish = _vanishing_test(rho_minors)
-    rng = random.Random(seed)
-    points = itertools.chain(
-        _sphere_like_grid(sym.nvars, 3),
-        iter(lambda: _random_int_point(rng, sym.nvars, 50), None),
-    )
+    points = _sample_points(random.Random(seed), sym.nvars, 3, 50)
     for point in itertools.islice(points, max(budget, 1)):
         if vanish(point):
             return CERTIFIED_NO, tuple(Fraction(c) for c in point)
@@ -294,7 +294,7 @@ def is_elliptic(
     rho == d the d-minors are the rho-minors, so ellipticity over C is
     complex constant rank, and over R it is the profile's real-rank
     sampling. A `profile` passed in must come from `rank_profile` with the
-    same seed and the real sampling on (`want_real`, default budget).
+    same seed and the real sampling on (`want_real`).
     """
     if field not in ("R", "C"):
         raise ValueError("field must be 'R' or 'C'")
@@ -330,7 +330,7 @@ def _stacked_symbol(pair: OperatorPair) -> PolyMatrix:
 
 
 def kernel_inclusion(
-    pair: OperatorPair, *, profile: Optional[RankProfile] = None, seed: int = 0
+    pair: OperatorPair, *, profile: Optional[RankProfile] = None
 ) -> InclusionVerdict:
     """Decide ker calA[xi] subset ker A[xi] for all complex xi != 0.
 
@@ -340,7 +340,7 @@ def kernel_inclusion(
     to identical vanishing of all (rho+1)-minors of the stacked symbol.
     """
     if profile is None:
-        profile = rank_profile(pair.calA, want_real=False, seed=seed)
+        profile = rank_profile(pair.calA, want_real=False)
     if not profile.constant_rank_C:
         raise HypothesesNotMet(profile)
     rho = profile.generic_rank
@@ -360,7 +360,6 @@ def find_witness(
     pair: OperatorPair,
     *,
     verdict: Optional[InclusionVerdict] = None,
-    seed: int = 0,
     budget: int = 20_000,
 ) -> Witness:
     """Exact real (xi, v) with calA[xi] v = 0 and A[xi] v != 0.
@@ -382,7 +381,7 @@ def find_witness(
     some kernel basis vector of calA[xi] is not annihilated by A[xi].
     """
     if verdict is None:
-        verdict = kernel_inclusion(pair, seed=seed)
+        verdict = kernel_inclusion(pair)
     if verdict.holds:
         raise ValueError("find_witness requires a failing inclusion verdict")
     mu = verdict.failing_minor
@@ -411,7 +410,6 @@ def construct_L(
     s_max: int = DEFAULT_S_MAX,
     *,
     verdict: Optional[InclusionVerdict] = None,
-    seed: int = 0,
 ) -> FactorizationCertificate:
     """Smallest s <= s_max with D^s o A = L o calA, plus the operator L.
 
@@ -421,7 +419,7 @@ def construct_L(
     which is also the degree of its coefficients.
     """
     if verdict is None:
-        verdict = kernel_inclusion(pair, seed=seed)
+        verdict = kernel_inclusion(pair)
     if not verdict.holds:
         raise ValueError("construct_L requires kernel inclusion to hold")
     calA, A = pair.calA, pair.A
@@ -496,36 +494,25 @@ def compute_W(
     *,
     profile: Optional[RankProfile] = None,
     seed: int = 0,
-    stable_rounds: int = STABLE_ROUNDS,
 ) -> CancellationReport:
-    """Exact basis of W, the intersection of the symbol images over all
-    real nonzero frequencies.
+    """Exact basis of W, the intersection of the symbol images over the real
+    frequencies of generic rank (every real xi != 0 under real constant
+    rank).
 
-    Sampling gives a superset candidate (the intersection is monotone
-    decreasing); each candidate vector is then certified exactly by
-    identical vanishing of the (rho+1)-minors of the symbol augmented with
-    the vector as an extra column.
+    Sampling gives a candidate superspace (the intersection is monotone
+    decreasing); its span is then cut down to W exactly by the identical
+    vanishing of the (rho+1)-minors of the symbol augmented with a vector
+    of the span as an extra column.
     """
     if profile is None:
         profile = rank_profile(op, seed=seed)
     rho = profile.generic_rank
     sym = op.symbol()
-    rng = random.Random(seed)
     l = op.l
-    grid = _sphere_like_grid(op.N, 2)
-
-    def next_point():
-        for p in grid:
-            return tuple(Fraction(c) for c in p)
-        return tuple(
-            Fraction(c) for c in _random_int_point(rng, op.N, 20)
-        )
-
     current: Optional[list] = None
     stable = 0
-    while stable < stable_rounds:
-        point = next_point()
-        M = sym.evaluate(point)
+    for p in _sample_points(random.Random(seed), op.N, 2, 20):
+        M = sym.evaluate(tuple(Fraction(c) for c in p))
         if M.rank() != rho:
             continue
         image = M.column_space_basis()
@@ -533,38 +520,51 @@ def compute_W(
             current = image
         else:
             new = subspace_intersect(current, image, l)
-            if len(new) == len(current):
-                stable += 1
-            else:
-                stable = 0
+            stable = stable + 1 if len(new) == len(current) else 0
             current = new
-        if current is not None and not current:
+        if not current or stable == STABLE_ROUNDS:
             break
-    candidates = current or []
-    certified = [w for w in candidates if _certify_in_all_images(sym, rho, w)]
-    certified = reduce_basis(certified, l)
+    certified = _in_all_images(sym, rho, current or [])
     P = projector_onto_complement(certified, l)
     return CancellationReport(
-        W_basis=tuple(tuple(w) for w in certified),
+        W_basis=tuple(certified),
         cancelling=not certified,
         P_Wperp=P,
         rank_status=profile.constant_rank_R,
     )
 
 
-def _certify_in_all_images(sym: PolyMatrix, rho: int, w) -> bool:
-    """w in Image sym[xi] for all real xi != 0 iff every (rho+1)-minor of
-    [sym | w] is the zero polynomial."""
+def _in_all_images(sym: PolyMatrix, rho: int, candidates: list) -> list:
+    """Basis of the w in span(candidates) with w in Image sym[xi] at every
+    real xi of generic rank rho: those for which every (rho+1)-minor of
+    [sym | w] is the zero polynomial.
+
+    The minors are linear in w, so these w come from the kernel of the map
+    from the candidates' coefficients to the minors' coefficients. A
+    candidate that passes alone gives a zero column there, so it comes back
+    unchanged and in its place.
+    """
+    if rho + 1 > sym.rows:
+        return candidates
     nv = sym.nvars
-    aug = PolyMatrix(
-        [
-            list(row) + [MultiPoly.const(nv, c)]
-            for row, c in zip(sym.entries, w)
-        ]
-    )
-    if rho + 1 > min(aug.rows, aug.cols):
-        return True
-    return all(m.is_zero for m in aug.minors(rho + 1))
+    columns = []
+    for w in candidates:
+        aug = PolyMatrix(
+            [list(row) + [MultiPoly.const(nv, c)] for row, c in zip(sym.entries, w)]
+        )
+        columns.append({
+            (t, exp): c
+            for t, m in enumerate(aug.minors(rho + 1))
+            for exp, c in m.terms.items()
+        })
+    keys = set().union(*columns)
+    if not keys:
+        return candidates
+    coeffs = ScalarMatrix([[col.get(key, Fraction(0)) for col in columns] for key in keys])
+    return [
+        tuple(sum(a * w[i] for a, w in zip(v, candidates) if a) for i in range(sym.rows))
+        for v in coeffs.kernel_basis()
+    ]
 
 
 def construct_annihilator(

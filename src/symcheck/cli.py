@@ -24,6 +24,7 @@ from .operators import (
     save_op,
 )
 from .analysis import (
+    DEFAULT_S_MAX,
     HypothesesNotMet,
     SampleBudgetExceeded,
     SMaxExceeded,
@@ -163,7 +164,7 @@ def cmd_compare(args) -> int:
     }
     ops = {"calA": calA, "A": A}
     try:
-        verdict = kernel_inclusion(pair, seed=args.seed)
+        verdict = kernel_inclusion(pair)
     except HypothesesNotMet as exc:
         results = {
             "constant_rank_C": False,
@@ -205,7 +206,7 @@ def cmd_compare(args) -> int:
         ]
     else:
         try:
-            w = find_witness(pair, verdict=verdict, seed=args.seed)
+            w = find_witness(pair, verdict=verdict)
         except SampleBudgetExceeded:
             report = make_report("compare", config, ops, results, "SAMPLE_BUDGET_EXCEEDED")
             emit(report, args.out, ["inclusion fails but witness search exhausted its budget"])
@@ -230,6 +231,19 @@ def _experiment_pair(args) -> OperatorPair:
     calA = _load(args.calA)
     A = _load(args.A)
     return OperatorPair(calA=calA, A=A, mode=args.mode)
+
+
+# exception -> (report status, exit code, whether str(exc) goes into the
+# report's detail and the summary line)
+EXPERIMENT_FAILURES = {
+    HypothesesNotMet: ("HYPOTHESES_NOT_MET", EXIT_HYPOTHESES, False),
+    InclusionFails: ("INCLUSION_FAILS", EXIT_HYPOTHESES, True),
+    UnboundedSuspected: ("UNBOUNDED_SUSPECTED", EXIT_HYPOTHESES, True),
+    SMaxExceeded: ("S_MAX_EXCEEDED", EXIT_BUDGET, False),
+    SampleBudgetExceeded: ("SAMPLE_BUDGET_EXCEEDED", EXIT_BUDGET, False),
+    NyquistViolation: ("NYQUIST_VIOLATION", EXIT_INPUT, True),
+    IllConditionedQuotient: ("ILL_CONDITIONED_QUOTIENT", EXIT_INPUT, True),
+}
 
 
 def cmd_experiment(args) -> int:
@@ -262,13 +276,13 @@ def cmd_experiment(args) -> int:
             pair = _experiment_pair(args)
             ops = {"calA": pair.calA, "A": pair.A}
             config.update({"calA": str(args.calA), "A": str(args.A)})
-            verdict = kernel_inclusion(pair, seed=args.seed)
+            verdict = kernel_inclusion(pair)
             if verdict.holds:
                 results = {"inclusion_holds": True}
                 report = make_report("experiment", config, ops, results, "OK")
                 emit(report, args.out, ["inclusion holds; no counterexample family exists"])
                 return EXIT_OK
-            w = find_witness(pair, verdict=verdict, seed=args.seed)
+            w = find_witness(pair, verdict=verdict)
             exp = counterexample_blowup(
                 pair, w, modes=(1, 2, 4, 8), n_grid=args.grid, seed=args.seed
             )
@@ -312,35 +326,12 @@ def cmd_experiment(args) -> int:
             ])
             return EXIT_OK if status in ("OK", "BOUNDED") else EXIT_HYPOTHESES
         raise OperatorFormatError(f"unknown experiment kind: {kind}")
-    except HypothesesNotMet:
-        report = make_report("experiment", config, ops, {}, "HYPOTHESES_NOT_MET")
-        emit(report, args.out, ["HYPOTHESES_NOT_MET"])
-        return EXIT_HYPOTHESES
-    except (InclusionFails, UnboundedSuspected) as exc:
-        status = (
-            "UNBOUNDED_SUSPECTED"
-            if isinstance(exc, UnboundedSuspected)
-            else "INCLUSION_FAILS"
-        )
-        report = make_report("experiment", config, ops, {"detail": str(exc)}, status)
-        emit(report, args.out, [f"{status}: {exc}"])
-        return EXIT_HYPOTHESES
-    except (SMaxExceeded, SampleBudgetExceeded) as exc:
-        status = (
-            "S_MAX_EXCEEDED" if isinstance(exc, SMaxExceeded)
-            else "SAMPLE_BUDGET_EXCEEDED"
-        )
-        report = make_report("experiment", config, ops, {}, status)
-        emit(report, args.out, [status])
-        return EXIT_BUDGET
-    except (NyquistViolation, IllConditionedQuotient) as exc:
-        status = (
-            "NYQUIST_VIOLATION" if isinstance(exc, NyquistViolation)
-            else "ILL_CONDITIONED_QUOTIENT"
-        )
-        report = make_report("experiment", config, ops, {"detail": str(exc)}, status)
-        emit(report, args.out, [f"{status}: {exc}"])
-        return EXIT_INPUT
+    except tuple(EXPERIMENT_FAILURES) as exc:
+        status, code, detailed = EXPERIMENT_FAILURES[type(exc)]
+        results = {"detail": str(exc)} if detailed else {}
+        report = make_report("experiment", config, ops, results, status)
+        emit(report, args.out, [f"{status}: {exc}" if detailed else status])
+        return code
 
 
 def cmd_catalog(args) -> int:
@@ -380,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("-A", required=True, dest="A",
                            help="outer operator file (left-hand side)")
             p.add_argument("--mode", choices=("korn", "sobolev"), default="korn")
-            p.add_argument("--s-max", type=int, default=6, dest="s_max")
+            p.add_argument("--s-max", type=int, default=DEFAULT_S_MAX, dest="s_max")
 
     p = sub.add_parser("analyze", help="classify a single operator")
     p.add_argument("--op", required=True, help="operator file")
@@ -398,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="inner operator file (korn2/blowup/sobolev)")
     p.add_argument("-A", default=None, dest="A", help="outer operator file")
     p.add_argument("--mode", choices=("korn", "sobolev"), default="korn")
-    p.add_argument("--s-max", type=int, default=6, dest="s_max")
+    p.add_argument("--s-max", type=int, default=DEFAULT_S_MAX, dest="s_max")
     p.add_argument("--grid", type=int, default=256, help="grid resolution per axis")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--p", type=float, default=1.0, help="exponent for the sobolev kind")

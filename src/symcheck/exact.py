@@ -472,50 +472,36 @@ class ScalarMatrix:
         return [tuple(cols[c]) for c in sorted(pivots)]
 
     def det(self):
-        """Determinant by fraction-free (Bareiss) elimination."""
+        """Determinant by fraction-free (Bareiss) elimination, run on the
+        entries as constants in zero variables."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        return _bareiss_det([list(r) for r in self.entries])
+        d = _bareiss_det([[MultiPoly.const(0, c) for c in r] for r in self.entries])
+        return d.terms.get((), Fraction(0))
 
     def __repr__(self):
         return f"ScalarMatrix({[list(map(str, r)) for r in self.entries]})"
 
 
-def _bareiss_det(m):
-    """Bareiss determinant over any exact integral domain.
+def _bareiss_det(m: list[list[MultiPoly]]) -> MultiPoly:
+    """Bareiss determinant of a square matrix of polynomials, in place.
 
-    Entries must support +, -, *, exact division (/ for fields, .exact_div
-    for polynomials) and zero testing via == 0 / is_zero.
+    Every division is exact, so it runs through MultiPoly.exact_div.
     """
     n = len(m)
-    if n == 0:
-        return Fraction(1)
-
-    def div(a, b):
-        if isinstance(a, MultiPoly):
-            return a.exact_div(b)
-        return a / b
-
-    def zero(a):
-        return a.is_zero if isinstance(a, MultiPoly) else a == 0
-
     sign = 1
     prev = None
     for k in range(n - 1):
-        if zero(m[k][k]):
-            swap = next(
-                (i for i in range(k + 1, n) if not zero(m[i][k])), None
-            )
+        if m[k][k].is_zero:
+            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
             if swap is None:
-                zero_like = m[k][k]
-                return zero_like * 0 if isinstance(zero_like, MultiPoly) else Fraction(0)
+                return MultiPoly.zero(m[k][k].nvars)
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num if prev is None else div(num, prev)
-            m[i][k] = m[i][k] * 0 if isinstance(m[i][k], MultiPoly) else Fraction(0)
+                m[i][j] = num if prev is None else num.exact_div(prev)
         prev = m[k][k]
     d = m[n - 1][n - 1]
     return -d if sign < 0 else d
@@ -558,14 +544,6 @@ def subspace_intersect(U: Sequence[Sequence], V: Sequence[Sequence], dim: int) -
     return reduce_basis(basis, dim)
 
 
-def orth_complement(B: Sequence[Sequence], dim: int) -> list[tuple]:
-    """Basis of the orthogonal complement of span(B) in Q^dim."""
-    B = reduce_basis(B, dim)
-    if not B:
-        return [tuple(ScalarMatrix.identity(dim).entries[i]) for i in range(dim)]
-    return ScalarMatrix(B).kernel_basis()
-
-
 def projector_onto_complement(B: Sequence[Sequence], dim: int) -> ScalarMatrix:
     """Exact projector Id - B (B^T B)^{-1} B^T onto span(B)^perp."""
     B = reduce_basis(B, dim)
@@ -585,11 +563,6 @@ def projector_onto_complement(B: Sequence[Sequence], dim: int) -> ScalarMatrix:
     X = ScalarMatrix.from_columns(Xcols)  # r x dim
     P_onto = Bm @ X
     return ScalarMatrix.identity(dim) - P_onto
-
-
-def projector_matrix(W: Sequence[Sequence], dim: int) -> ScalarMatrix:
-    """Exact orthogonal projector onto span(W)."""
-    return ScalarMatrix.identity(dim) - projector_onto_complement(W, dim)
 
 
 # ---------------------------------------------------------------------------

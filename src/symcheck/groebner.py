@@ -19,7 +19,6 @@ from .exact import (
     MultiPoly,
     forward_eliminate,
     grevlex_key,
-    grlex_key,
     monomials_of_degree,
 )
 
@@ -43,25 +42,24 @@ class MacaulayBudgetExceeded(Exception):
 
 
 class TermOrder:
-    """Monomial order on the ring, extended position-over-term (graded) to
-    free modules.
+    """Graded reverse lexicographic order on the ring, extended
+    position-over-term (graded) to free modules.
 
-    kind: "grlex" or "grevlex".  The module order compares total degree
+    kind: "grevlex", the only order.  The module order compares total degree
     first, then prefers lower positions, then the ring order.
     """
 
     def __init__(self, kind: str = "grevlex"):
-        if kind not in ("grlex", "grevlex"):
+        if kind != "grevlex":
             raise ValueError(f"unknown term order {kind!r}")
         self.kind = kind
-        self._ring_key = grlex_key if kind == "grlex" else grevlex_key
 
     def key(self, exp: tuple[int, ...]):
-        return self._ring_key(exp)
+        return grevlex_key(exp)
 
     def module_key(self, term: tuple[int, tuple[int, ...]]):
         pos, exp = term
-        return (sum(exp), -pos, self._ring_key(exp))
+        return (sum(exp), -pos, grevlex_key(exp))
 
     def __repr__(self):
         return f"TermOrder({self.kind!r})"

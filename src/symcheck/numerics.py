@@ -14,9 +14,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import MultiPoly
+from .exact import MultiPoly, monomials_of_degree
 from .operators import DiffOp, OperatorPair
 from .analysis import (
+    DEFAULT_S_MAX,
     Witness,
     construct_L,
     kernel_inclusion,
@@ -249,6 +250,8 @@ def korn_constant_p2(
     the symbol-quotient operator norm over the unit sphere; the estimate is
     monotone nondecreasing in the number of samples.
     """
+    if samples < 1:
+        raise ParameterError(f"samples must be at least 1, got samples = {samples}")
     verdict = kernel_inclusion(pair)
     if not verdict.holds:
         raise InclusionFails("kernel inclusion fails; the constant is infinite")
@@ -452,7 +455,9 @@ def bb_ratio_experiment(
     """
     if N < 2:
         raise ParameterError(f"N must be at least 2, got N = {N}")
-    betas = _div_k_betas(N, k)
+    if n_grid < 1:
+        raise ParameterError(f"grid must be at least 1, got n_grid = {n_grid}")
+    betas = monomials_of_degree(N, k)
     M_k = len(betas)
     rng = np.random.default_rng(seed)
     report = ExperimentReport(
@@ -529,12 +534,6 @@ def bb_ratio_experiment(
     return report
 
 
-def _div_k_betas(N: int, k: int):
-    from .exact import monomials_of_degree
-
-    return monomials_of_degree(N, k)
-
-
 def _monomial_value(m, beta) -> float:
     out = 1.0
     for x, e in zip(m, beta):
@@ -554,7 +553,7 @@ def sobolev_ratio_experiment(
     trials: int = 100,
     n_grid: int = 32,
     seed: int = 0,
-    s_max: int = 6,
+    s_max: int = DEFAULT_S_MAX,
 ) -> ExperimentReport:
     """Sampled ratios ||Au - proj||_{p*} / ||calA u||_p on the unit cube.
 
@@ -568,6 +567,10 @@ def sobolev_ratio_experiment(
     N = pair.calA.N
     if not (1 <= p < N):
         raise ParameterError(f"need 1 <= p < N = {N}, got p = {p}")
+    if trials < 1:
+        raise ParameterError(f"trials must be at least 1, got trials = {trials}")
+    if n_grid < 1:
+        raise ParameterError(f"grid must be at least 1, got n_grid = {n_grid}")
     p_star = N * p / (N - p)
     verdict = kernel_inclusion(pair)
     if not verdict.holds:

@@ -19,7 +19,6 @@ from symcheck.analysis import (
     PolynomialLift,
     SMaxExceeded,
     _constant_case_lift,
-    _random_int_point,
     _sphere_like_grid,
     rank_profile,
 )
@@ -196,7 +195,9 @@ def reference_real_constant_rank(rho_minors, nvars, budget, seed):
         if count >= budget:
             return UNCERTIFIED_YES, None
     while count < budget:
-        p = _random_int_point(rng, nvars, 50)
+        p = tuple(rng.randint(-50, 50) for _ in range(nvars))
+        if not any(p):
+            continue
         frac_point = tuple(Fraction(c) for c in p)
         if _minor_rank_at(rho_minors, frac_point):
             return CERTIFIED_NO, frac_point

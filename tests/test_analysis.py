@@ -1,10 +1,12 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from symcheck.exact import MultiPoly, ScalarMatrix, monomials_of_degree
+from symcheck.exact import MultiPoly, PolyMatrix, ScalarMatrix, monomials_of_degree
+from symcheck.cli import main
 from symcheck.analysis import (
     _real_constant_rank,
     _sphere_like_grid,
@@ -19,6 +21,7 @@ from symcheck.analysis import (
     construct_Cbeta,
     construct_L,
     find_witness,
+    generic_rank,
     is_elliptic,
     kernel_inclusion,
     polynomial_lift,
@@ -34,6 +37,7 @@ from symcheck.operators import (
     catalog,
     compose,
     grad_power,
+    save_op,
 )
 from helpers import (
     grid_hiding_pair,
@@ -110,6 +114,25 @@ class TestRankProfile:
         assert prof2.constant_rank_C is False
         assert prof2.constant_rank_R == CERTIFIED_NO
         assert prof2.real_witness is not None
+
+
+class TestGenericRank:
+    def test_climb_from_a_rank_drop_at_the_start_point(self, monkeypatch):
+        # diag(xi1 - xi2, xi1 - xi2, 0) vanishes at the start point (7/4, 7/4),
+        # so the climb starts at rank 0 and must stop below the zero 3-minor
+        a = {(1, 0): Fraction(1), (0, 1): Fraction(-1)}
+        terms = {e: [[c if i == j < 2 else 0 for j in range(3)] for i in range(3)]
+                 for e, c in a.items()}
+        sym = DiffOp("diagonal", 2, 3, 3, 1, terms).symbol()
+        points = []
+        evaluate = PolyMatrix.evaluate
+        monkeypatch.setattr(
+            PolyMatrix, "evaluate", lambda m, x: points.append(x) or evaluate(m, x))
+        rho = generic_rank(sym)
+        monkeypatch.undo()
+        assert [sym.evaluate(x).rank() for x in points] == [0]
+        largest = max(r for r in range(1, 4) if any(not m.is_zero for m in sym.minors(r)))
+        assert rho == largest == 2
 
 
 class TestEllipticity:
@@ -363,6 +386,25 @@ class TestFactorization:
             construct_L(pair, 6, verdict=kernel_inclusion(pair))
 
 
+def planted_superspace_op():
+    """N = 3, d = 2, l = 3, k = 4 with columns f (1, 1, 0) + c and c, where
+    f = |xi|^4, q = xi1^4, r = xi2 (xi2 - xi1) (xi2 + xi1) xi3 and
+    c = (q + f, q, r). The rank is 2 at every real xi != 0 and
+    W = span (1, 1, 0)."""
+    x = [MultiPoly.variable(3, i) for i in range(3)]
+    f = (x[0] * x[0] + x[1] * x[1] + x[2] * x[2]) ** 2
+    q = x[0] ** 4
+    r = x[1] * (x[1] - x[0]) * (x[1] + x[0]) * x[2]
+    c = [q + f, q, r]
+    columns = [[f * e + ci for e, ci in zip((1, 1, 0), c)], c]
+    terms = {}
+    for j, col in enumerate(columns):
+        for i, p in enumerate(col):
+            for exp, coef in p.terms.items():
+                terms.setdefault(exp, [[0, 0] for _ in range(3)])[i][j] = coef
+    return DiffOp("planted_superspace", 3, 2, 3, 4, terms)
+
+
 class TestCancellation:
     def test_catalog_cancellation(self):
         assert compute_W(catalog("gradient", 2)).cancelling
@@ -388,6 +430,21 @@ class TestCancellation:
                     + [list(w)]
                 )
                 assert aug.rank() == M.rank()
+
+    def test_candidate_superspace_is_cut_down_to_W(self, tmp_path):
+        # the first grid points have xi1 = -1 and xi2 in {-1, 0, 1}, where
+        # r = 0, so sampling settles on a plane in which no candidate basis
+        # vector lies in W = span (1, 1, 0) on its own
+        op = planted_superspace_op()
+        rep = compute_W(op)
+        assert len(rep.W_basis) == 1 and not rep.cancelling
+        (w,) = rep.W_basis
+        assert w[0] == w[1] != 0 and w[2] == 0
+        save_op(op, tmp_path / "op.json")
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--op", str(tmp_path / "op.json"), "--out", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert results["cancelling"] is False and results["dim_W"] == 1
 
     def test_projector_annihilates_W(self):
         rep = compute_W(catalog("divergence", 2))

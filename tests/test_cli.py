@@ -303,6 +303,32 @@ class TestMismatchedPair:
         assert "share N and d" in proc.stderr and "Traceback" not in proc.stderr
 
 
+class TestExperimentSizes:
+    """An experiment size below 1 is an input error: exit 4 and the reason
+    on stderr, never a traceback."""
+
+    @pytest.mark.parametrize("kind,flags,reason", [
+        ("korn2", ["--trials", "0"], "samples must be at least 1"),
+        ("korn2", ["--trials", "-3"], "samples must be at least 1"),
+        ("bb", ["--grid", "0"], "grid must be at least 1"),
+        ("bb", ["--grid", "-4"], "grid must be at least 1"),
+        ("sobolev", ["--trials", "0"], "trials must be at least 1"),
+        ("sobolev", ["--grid", "0"], "grid must be at least 1"),
+    ])
+    def test_exit_4(self, ops_dir, capsys, kind, flags, reason):
+        save_op(grad_power(0, 1, 2), ops_dir / "id2.json")
+        pair = {
+            "korn2": ["-a", str(ops_dir / "symgrad2.json"), "-A", str(ops_dir / "fullgrad2.json")],
+            "bb": [],
+            "sobolev": ["--mode", "sobolev", "-a", str(ops_dir / "gradient2.json"),
+                        "-A", str(ops_dir / "id2.json")],
+        }[kind]
+        code = main(["experiment", kind, *pair, *flags])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert reason in err and "Traceback" not in err
+
+
 class TestCatalogCommand:
     def test_writes_an_operator_file(self, tmp_path):
         out = tmp_path / "op.json"

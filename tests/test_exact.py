@@ -7,10 +7,7 @@ from symcheck.exact import (
     ScalarMatrix,
     monomials_of_degree,
     monomials_up_to_degree,
-    orth_complement,
-    projector_matrix,
     projector_onto_complement,
-    reduce_basis,
     subspace_intersect,
 )
 from helpers import rand_fraction, rand_poly, rand_point
@@ -209,16 +206,6 @@ class TestSubspaces:
         inter = subspace_intersect(U, V, 4)
         assert len(inter) == 2
 
-    def test_orth_complement_dimension(self):
-        rng = random.Random(12)
-        for _ in range(30):
-            k = rng.randint(0, 3)
-            B = reduce_basis(
-                [tuple(rand_fraction(rng) for _ in range(4)) for _ in range(k)], 4
-            )
-            C = orth_complement(B, 4)
-            assert len(B) + len(C) == 4
-
     def test_projector_idempotent_symmetric(self):
         rng = random.Random(13)
         for _ in range(50):
@@ -232,14 +219,6 @@ class TestSubspaces:
             # kills the spanned subspace exactly
             for b in B:
                 assert all(c == 0 for c in P.apply(b))
-
-    def test_projector_complementarity(self):
-        rng = random.Random(14)
-        for _ in range(30):
-            B = [tuple(rand_fraction(rng) for _ in range(3)) for _ in range(2)]
-            P = projector_matrix(B, 3)
-            Q = projector_onto_complement(B, 3)
-            assert P + Q == ScalarMatrix.identity(3)
 
 
 class TestPolyMatrix:
