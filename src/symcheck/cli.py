@@ -37,6 +37,7 @@ from .analysis import (
     rank_profile,
 )
 from .numerics import (
+    GridBudgetExceeded,
     InclusionFails,
     IllConditionedQuotient,
     NyquistViolation,
@@ -241,6 +242,7 @@ EXPERIMENT_FAILURES = {
     UnboundedSuspected: ("UNBOUNDED_SUSPECTED", EXIT_HYPOTHESES, True),
     SMaxExceeded: ("S_MAX_EXCEEDED", EXIT_BUDGET, False),
     SampleBudgetExceeded: ("SAMPLE_BUDGET_EXCEEDED", EXIT_BUDGET, False),
+    GridBudgetExceeded: ("GRID_BUDGET_EXCEEDED", EXIT_BUDGET, True),
     NyquistViolation: ("NYQUIST_VIOLATION", EXIT_INPUT, True),
     IllConditionedQuotient: ("ILL_CONDITIONED_QUOTIENT", EXIT_INPUT, True),
 }

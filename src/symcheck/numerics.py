@@ -35,6 +35,30 @@ class ParameterError(ValueError):
     """An experiment parameter is out of range (exit 4 on the command line)."""
 
 
+# Most points of a grid an experiment samples on (blowup's 256^2, sobolev's
+# refined 64^2 and bb's 32^2 fit with room); a larger grid raises
+# GridBudgetExceeded (the command line exits 3) before anything is allocated.
+GRID_MAX_POINTS = 1 << 20
+
+# Bytes of phases bb_ratio_experiment keeps for reuse within one call.
+PHASE_MEMO_BYTES = 2 << 20
+
+
+class GridBudgetExceeded(Exception):
+    """The grid would have more than GRID_MAX_POINTS points."""
+
+    def __init__(self, N: int, n: int):
+        super().__init__(
+            f"a grid of {n}^{N} = {n ** N} points exceeds the budget of "
+            f"{GRID_MAX_POINTS} points"
+        )
+
+
+def _check_grid(N: int, n: int) -> None:
+    if n ** N > GRID_MAX_POINTS:
+        raise GridBudgetExceeded(N, n)
+
+
 class UnboundedSuspected(Exception):
     """The running supremum of the symbol-quotient norm exceeded 1e6,
     indicating a real kernel-inclusion failure."""
@@ -94,19 +118,21 @@ def _weights_array(op: DiffOp) -> Optional[np.ndarray]:
 
 
 def float_symbol(op: DiffOp):
-    """xi -> numeric symbol sum_alpha A_alpha xi^alpha at a real xi, with
-    the coefficients converted to floats once and summed in ``op.terms`` order."""
-    terms = [(alpha, np.array([[float(c) for c in row] for row in m]))
+    """Points (S, N) -> numeric symbols (S, l, d), sum_alpha A_alpha xi^alpha
+    at each real xi, with the coefficients converted to floats once and
+    summed in ``op.terms`` order. ``np.float_power`` gives each power the bits
+    of the scalar ``float ** int``; an array ``**`` does not."""
+    terms = [([(t, e) for t, e in enumerate(alpha) if e],
+              np.array([[float(c) for c in row] for row in m]))
              for alpha, m in op.terms.items()]
 
-    def at(xi: np.ndarray) -> np.ndarray:
-        out = np.zeros((op.l, op.d))
-        for alpha, M in terms:
-            mono = 1.0
-            for x, e in zip(xi, alpha):
-                if e:
-                    mono = mono * x ** e
-            out += mono * M
+    def at(points: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(points), op.l, op.d))
+        for powers, M in terms:
+            mono = np.ones(len(points))
+            for t, e in powers:
+                mono = mono * np.float_power(points[:, t], e)
+            out += mono[:, None, None] * M
         return out
 
     return at
@@ -203,39 +229,49 @@ class ExperimentReport:
 
 
 def _symbol_quotient_norm(pair: OperatorPair):
-    """xi -> max |A[xi] v| / |calA[xi] v| over v orthogonal to ker calA[xi].
+    """Points (S, N) -> max |A[xi] v| / |calA[xi] v| over v orthogonal to
+    ker calA[xi], one value per point.
 
     Component weights are absorbed into the numeric symbols; the value is inf
-    when the kernel of calA[xi] leaks through A[xi]. One reduced SVD gives the
-    rank and the pseudo-inverse (numpy's ``pinv`` formula, rcond 1e-12); only
-    a calA[xi] with a kernel takes a full SVD, for all of its null vectors.
+    when the kernel of calA[xi] leaks through A[xi]. One stacked reduced SVD
+    gives the ranks and the pseudo-inverses (numpy's ``pinv`` formula, rcond
+    1e-12), and the largest singular value of A[xi] calA[xi]^+ is the norm;
+    only a calA[xi] with a kernel takes a full SVD, for all of its null
+    vectors. Every value has the bits of an evaluation at that point alone.
     """
     sym_a, sym_b = float_symbol(pair.calA), float_symbol(pair.A)
     wa, wb = _weights_array(pair.calA), _weights_array(pair.A)
     root_a = None if wa is None else np.sqrt(wa)[:, None]
     root_b = None if wb is None else np.sqrt(wb)[:, None]
+    rank_tol = max(pair.calA.l, pair.calA.d) * np.finfo(float).eps
 
-    def at(xi: np.ndarray) -> float:
-        Sa, Sb = sym_a(xi), sym_b(xi)
+    def at(points: np.ndarray) -> np.ndarray:
+        Sa, Sb = sym_a(points), sym_b(points)
         if root_a is not None:
             Sa = root_a * Sa
         if root_b is not None:
             Sb = root_b * Sb
         u, s, vt = np.linalg.svd(Sa, full_matrices=False)
-        tol = max(Sa.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-        rank = int(np.sum(s > tol))
-        if rank < Sa.shape[1]:
-            null = np.linalg.svd(Sa)[2][rank:].T
-            leak = np.linalg.norm(Sb @ null, 2)
-            scale = np.linalg.norm(Sb, 2) + 1.0
-            if leak > 1e-10 * scale:
-                return float("inf")
-        large = s > 1e-12 * np.max(s)
+        # singular values come largest first, so s[:, :1] is each maximum
+        large = s > 1e-12 * s[:, :1]
         s_inv = np.divide(1, s, out=np.zeros_like(s), where=large)
-        pinv = vt.T @ (s_inv[:, None] * u.T)
-        return float(np.linalg.norm(Sb @ pinv, 2))
+        pinv = np.swapaxes(vt, 1, 2) @ (s_inv[:, :, None] * np.swapaxes(u, 1, 2))
+        values = np.linalg.svd(Sb @ pinv, compute_uv=False)[:, 0]
+        ranks = (s > rank_tol * s[:, :1]).sum(axis=1)
+        for i in (ranks < Sa.shape[2]).nonzero()[0]:
+            null = np.linalg.svd(Sa[i])[2][ranks[i]:].T
+            leak = np.linalg.norm(Sb[i] @ null, 2)
+            scale = np.linalg.norm(Sb[i], 2) + 1.0
+            if leak > 1e-10 * scale:
+                values[i] = np.inf
+        return values
 
     return at
+
+
+# Sample directions korn_constant_p2 evaluates in one stacked call, so that
+# memory stays bounded for any number of samples.
+KORN2_BLOCK = 1024
 
 
 def korn_constant_p2(
@@ -260,14 +296,17 @@ def korn_constant_p2(
     N = pair.calA.N
     best_val = -math.inf
     best_xi = None
-    for _ in range(samples):
-        xi = rng.standard_normal(N)
-        xi /= np.linalg.norm(xi)
-        val = quotient_norm(xi)
-        if val > 1e6:
-            raise UnboundedSuspected("running supremum exceeded 1e6")
-        if val > best_val:
-            best_val, best_xi = val, xi
+    for start in range(0, samples, KORN2_BLOCK):
+        # the same stream as one draw of size N per sample; each row is
+        # normalised on its own, as a norm along an axis sums in another order
+        block = rng.standard_normal((min(KORN2_BLOCK, samples - start), N))
+        for xi in block:
+            xi /= np.linalg.norm(xi)
+        for xi, val in zip(block, quotient_norm(block)):
+            if val > 1e6:
+                raise UnboundedSuspected("running supremum exceeded 1e6")
+            if val > best_val:
+                best_val, best_xi = val, xi
     # local golden-section refinement along tangent directions
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     h = 0.5
@@ -281,7 +320,7 @@ def korn_constant_p2(
 
         def val_at(theta):
             x = math.cos(theta) * best_xi + math.sin(theta) * t
-            return quotient_norm(x)
+            return quotient_norm(x[None])[0]
 
         a, b = -h, h
         fa_left = a + (1 - invphi) * (b - a)
@@ -307,7 +346,7 @@ def korn_constant_p2(
         h = max(h * 0.8, 1e-4)
         if best_val > 1e6:
             raise UnboundedSuspected("running supremum exceeded 1e6")
-    return best_val
+    return float(best_val)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +368,7 @@ def counterexample_blowup(
         raise NyquistViolation(
             f"grid {n_grid} too coarse for mode {max(modes)} (need >= {8*max(modes)})"
         )
+    _check_grid(pair.calA.N, n_grid)
     fam = PlaneWaveFamily(witness=witness, calA=pair.calA, modes=modes)
     report = ExperimentReport(
         name="counterexample_blowup",
@@ -387,11 +427,8 @@ class TrigField:
     coeffs: dict  # freq tuple -> complex ndarray (d,)
 
     def phases(self, X: np.ndarray) -> list:
-        """exp(2 pi i m . x) at the grid points X, one array per frequency m
-        in coefficient order, from the product ``np.tensordot`` would form."""
-        flat = X.reshape(-1, self.N)
-        return [np.exp(np.dot(flat, 2j * np.pi * np.array(m, dtype=float)[:, None]))
-                .reshape(X.shape[:-1]) for m in self.coeffs]
+        """The phase of every frequency on the grid X, in coefficient order."""
+        return [_phase(X, m) for m in self.coeffs]
 
     def values_from(self, phases: list, n_grid: int) -> np.ndarray:
         """u on the n_grid^N grid whose ``phases`` are given."""
@@ -406,17 +443,24 @@ class TrigField:
 
     def apply(self, op: DiffOp) -> "TrigField":
         """op applied to u; the frequencies keep their order."""
-        symbol = float_symbol(op)
-        out = {}
-        for m, c in self.coeffs.items():
-            S = symbol(np.array(m, dtype=float)).astype(complex)
-            out[m] = (2j * np.pi) ** op.k * (S @ c)
-        return TrigField(N=self.N, d=op.l, coeffs=out)
+        freqs = np.array(list(self.coeffs), dtype=float).reshape(-1, self.N)
+        symbols = float_symbol(op)(freqs).astype(complex)
+        return TrigField(N=self.N, d=op.l, coeffs={
+            m: (2j * np.pi) ** op.k * (S @ c)
+            for (m, c), S in zip(self.coeffs.items(), symbols)})
 
     def derivative(self, t: int) -> "TrigField":
         """d/dx_t of u; the frequencies keep their order."""
         return TrigField(N=self.N, d=self.d, coeffs={
             m: (2j * np.pi * m[t]) * c for m, c in self.coeffs.items()})
+
+
+def _phase(X: np.ndarray, m) -> np.ndarray:
+    """exp(2 pi i m . x) at the grid points X, from the product
+    ``np.tensordot`` would form."""
+    flat = X.reshape(-1, X.shape[-1])
+    return np.exp(np.dot(flat, 2j * np.pi * np.array(m, dtype=float)[:, None])
+                  ).reshape(X.shape[:-1])
 
 
 def random_trig_field(
@@ -455,8 +499,13 @@ def bb_ratio_experiment(
     """
     if N < 2:
         raise ParameterError(f"N must be at least 2, got N = {N}")
+    if k < 1:
+        raise ParameterError(f"k must be at least 1, got k = {k}")
+    if trials < 1:
+        raise ParameterError(f"trials must be at least 1, got trials = {trials}")
     if n_grid < 1:
         raise ParameterError(f"grid must be at least 1, got n_grid = {n_grid}")
+    _check_grid(N, n_grid)
     betas = monomials_of_degree(N, k)
     M_k = len(betas)
     rng = np.random.default_rng(seed)
@@ -485,6 +534,24 @@ def bb_ratio_experiment(
             else:
                 dbump[t] = dbump[t] * sj
         bump *= sj
+    # the grid is fixed, so a frequency's phase is the same in every trial:
+    # keep as many as PHASE_MEMO_BYTES holds, dropping the oldest first
+    held = {}
+    capacity = PHASE_MEMO_BYTES // (16 * bump.size)
+
+    def phases(u: TrigField) -> list:
+        out = []
+        for m in u.coeffs:
+            phase = held.get(m)
+            if phase is None:
+                phase = _phase(X, m)
+                if capacity:
+                    if len(held) == capacity:
+                        del held[next(iter(held))]
+                    held[m] = phase
+            out.append(phase)
+        return out
+
     max_residual = 0.0
     ratios = []
     for _ in range(trials):
@@ -500,10 +567,10 @@ def bb_ratio_experiment(
             max_residual = max(max_residual, abs(sigma @ c) /
                                (np.linalg.norm(c) * math.sqrt(nrm2) + 1e-300))
         v = TrigField(N=N, d=M_k, coeffs=proj)
-        vf = GridField(domain="cube", n=n_grid, values=v.values_from(v.phases(X), n_grid))
+        vf = GridField(domain="cube", n=n_grid, values=v.values_from(phases(v), n_grid))
         # phi: bump times a random low-frequency trig combination
         phi_t = random_trig_field(rng, N, M_k, 2, 3)
-        phi_phases = phi_t.phases(X)
+        phi_phases = phases(phi_t)
         phi_core = GridField(domain="cube", n=n_grid,
                              values=phi_t.values_from(phi_phases, n_grid)).values
         phi = bump[..., None] * phi_core
@@ -571,6 +638,7 @@ def sobolev_ratio_experiment(
         raise ParameterError(f"trials must be at least 1, got trials = {trials}")
     if n_grid < 1:
         raise ParameterError(f"grid must be at least 1, got n_grid = {n_grid}")
+    _check_grid(N, 2 * n_grid)  # the refined grid is the larger one
     p_star = N * p / (N - p)
     verdict = kernel_inclusion(pair)
     if not verdict.holds:

@@ -24,7 +24,14 @@ from symcheck.analysis import (
 )
 from symcheck.exact import MultiPoly, PolyMatrix, monomials_of_degree
 from symcheck.groebner import GroebnerBasis, TermOrder, zero_dim_origin
-from symcheck.numerics import TrigField, grid_points
+from symcheck.numerics import (
+    ExperimentReport,
+    GridField,
+    TrigField,
+    grid_points,
+    lp_norm,
+    random_trig_field,
+)
 from symcheck.operators import (
     DiffOp,
     OperatorPair,
@@ -302,6 +309,152 @@ def reference_trig_derivative(u, n_grid, t):
             X, 2j * np.pi * np.array(m, dtype=float), axes=([-1], [0])))
         dcore += np.real((2j * np.pi * m[t]) * c * phase[..., None])
     return dcore
+
+
+# ---------------------------------------------------------------------------
+# reference implementations of korn_constant_p2 and bb_ratio_experiment as
+# they were before the numerics ran over stacks of points: one quotient norm
+# per sample direction, and every phase computed again in every trial
+# ---------------------------------------------------------------------------
+
+
+def reference_korn_constant_p2(pair, samples, refine_iters=80, seed=0):
+    """Sup of the quotient norm over sampled unit xi, one xi at a time, then
+    golden-section refinement along random tangents; also every xi at which
+    the norm was evaluated, in order. The pair's kernel inclusion must hold
+    and the supremum must stay bounded."""
+    points = []
+
+    def quotient_norm(xi):
+        points.append(xi.copy())
+        return reference_symbol_quotient_norm(pair, xi)
+
+    rng = np.random.default_rng(seed)
+    N = pair.calA.N
+    best_val = -math.inf
+    best_xi = None
+    for _ in range(samples):
+        xi = rng.standard_normal(N)
+        xi /= np.linalg.norm(xi)
+        val = quotient_norm(xi)
+        if val > best_val:
+            best_val, best_xi = val, xi
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    h = 0.5
+    for _ in range(refine_iters):
+        t = rng.standard_normal(N)
+        t -= t @ best_xi * best_xi
+        norm_t = np.linalg.norm(t)
+        if norm_t < 1e-14:
+            continue
+        t /= norm_t
+
+        def val_at(theta):
+            x = math.cos(theta) * best_xi + math.sin(theta) * t
+            return quotient_norm(x)
+
+        a, b = -h, h
+        fa_left = a + (1 - invphi) * (b - a)
+        fa_right = a + invphi * (b - a)
+        v_left, v_right = val_at(fa_left), val_at(fa_right)
+        for _ in range(40):
+            if v_left < v_right:
+                a = fa_left
+                fa_left, v_left = fa_right, v_right
+                fa_right = a + invphi * (b - a)
+                v_right = val_at(fa_right)
+            else:
+                b = fa_right
+                fa_right, v_right = fa_left, v_left
+                fa_left = a + (1 - invphi) * (b - a)
+                v_left = val_at(fa_left)
+        theta = (a + b) / 2
+        cand = max(val_at(theta), v_left, v_right)
+        if cand > best_val:
+            best_val = cand
+            best_xi = math.cos(theta) * best_xi + math.sin(theta) * t
+            best_xi /= np.linalg.norm(best_xi)
+        h = max(h * 0.8, 1e-4)
+    return best_val, points
+
+
+def _reference_phases(u, X):
+    flat = X.reshape(-1, u.N)
+    return [np.exp(np.dot(flat, 2j * np.pi * np.array(m, dtype=float)[:, None]))
+            .reshape(X.shape[:-1]) for m in u.coeffs]
+
+
+def reference_bb_ratio_experiment(k, N, trials, n_grid, seed=0, band=4, n_modes=6):
+    """The bb report, every phase of every trial computed afresh."""
+    betas = monomials_of_degree(N, k)
+    M_k = len(betas)
+    rng = np.random.default_rng(seed)
+    report = ExperimentReport(
+        name="bb_ratio_experiment",
+        parameters={
+            "k": k, "N": N, "trials": trials, "n_grid": n_grid,
+            "seed": seed, "band": band,
+        },
+        notes=[
+            "component count uses the multi-index enumeration "
+            "binom(N+k-1, N-1)",
+            "no closed-form constant is available; stability across seeds "
+            "is the acceptance bar",
+        ],
+    )
+    X = grid_points(N, n_grid)
+    bump = np.ones(X.shape[:-1])
+    dbump = [np.ones(X.shape[:-1]) for _ in range(N)]
+    for j in range(N):
+        xj = X[..., j]
+        sj = np.sin(np.pi * xj) ** 2
+        for t in range(N):
+            if t == j:
+                dbump[t] = dbump[t] * (2 * np.pi * np.sin(np.pi * xj) * np.cos(np.pi * xj))
+            else:
+                dbump[t] = dbump[t] * sj
+        bump *= sj
+    max_residual = 0.0
+    ratios = []
+    for _ in range(trials):
+        v = random_trig_field(rng, N, M_k, band, n_modes)
+        proj = {}
+        for m, c in v.coeffs.items():
+            sigma = np.array([math.prod(float(x) ** e for x, e in zip(m, b) if e)
+                              for b in betas], dtype=float)
+            nrm2 = float(sigma @ sigma)
+            if nrm2 > 0:
+                c = c - sigma * (sigma @ c) / nrm2
+            proj[m] = c
+            max_residual = max(max_residual, abs(sigma @ c) /
+                               (np.linalg.norm(c) * math.sqrt(nrm2) + 1e-300))
+        v = TrigField(N=N, d=M_k, coeffs=proj)
+        vf = GridField(domain="cube", n=n_grid,
+                       values=v.values_from(_reference_phases(v, X), n_grid))
+        phi_t = random_trig_field(rng, N, M_k, 2, 3)
+        phi_phases = _reference_phases(phi_t, X)
+        phi_core = phi_t.values_from(phi_phases, n_grid)
+        phi = bump[..., None] * phi_core
+        if np.max(np.abs(phi)) == 0.0:
+            ratios.append(0.0)
+            continue
+        dphi = np.zeros(X.shape[:-1] + (M_k, N))
+        for t in range(N):
+            dcore = phi_t.derivative(t).values_from(phi_phases, n_grid)
+            dphi[..., t] = dbump[t][..., None] * phi_core + bump[..., None] * dcore
+        integral = abs(float(np.mean(np.sum(vf.values * phi, axis=-1))))
+        v_l1 = lp_norm(vf, 1)
+        dphi_lN = lp_norm(GridField(domain="cube", n=n_grid,
+                                    values=dphi.reshape(X.shape[:-1] + (M_k * N,))), N)
+        denom = v_l1 * dphi_lN
+        ratios.append(integral / denom if denom > 0 else 0.0)
+    report.trials = [{"ratio": r} for r in ratios]
+    report.summary = {
+        "max_ratio": max(ratios),
+        "mean_ratio": float(np.mean(ratios)),
+        "max_constraint_residual": max_residual,
+    }
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,9 @@ class TestExperimentSizes:
         ("korn2", ["--trials", "-3"], "samples must be at least 1"),
         ("bb", ["--grid", "0"], "grid must be at least 1"),
         ("bb", ["--grid", "-4"], "grid must be at least 1"),
+        ("bb", ["--k", "-1"], "k must be at least 1"),
+        ("bb", ["--k", "0"], "k must be at least 1"),
+        ("bb", ["--trials", "0"], "trials must be at least 1"),
         ("sobolev", ["--trials", "0"], "trials must be at least 1"),
         ("sobolev", ["--grid", "0"], "grid must be at least 1"),
     ])
@@ -327,6 +330,28 @@ class TestExperimentSizes:
         err = capsys.readouterr().err
         assert code == 4
         assert reason in err and "Traceback" not in err
+
+    # each grid is refused before any of it is allocated
+    @pytest.mark.parametrize("kind,flags,points", [
+        ("bb", ["--N", "6", "--grid", "32"], "32^6 = 1073741824"),
+        ("blowup", ["--grid", "2048"], "2048^2 = 4194304"),
+        # sobolev also samples on the refined grid, 2 * 600 = 1200 a side
+        ("sobolev", ["--grid", "600"], "1200^2 = 1440000"),
+    ])
+    def test_grid_budget_exit_3(self, ops_dir, tmp_path, capsys, kind, flags, points):
+        save_op(grad_power(0, 1, 2), ops_dir / "id2.json")
+        pair = {
+            "bb": [],
+            "blowup": ["-a", str(ops_dir / "div2.json"), "-A", str(ops_dir / "fullgrad2.json")],
+            "sobolev": ["--mode", "sobolev", "-a", str(ops_dir / "gradient2.json"),
+                        "-A", str(ops_dir / "id2.json")],
+        }[kind]
+        out = tmp_path / "r.json"
+        code = main(["experiment", kind, *pair, *flags, "--out", str(out)])
+        assert code == 3
+        assert points in capsys.readouterr().out
+        rep = read(out)
+        assert rep["status"] == "GRID_BUDGET_EXCEEDED" and points in rep["results"]["detail"]
 
 
 class TestCatalogCommand:

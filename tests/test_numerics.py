@@ -4,8 +4,13 @@ import random
 import numpy as np
 import pytest
 
+from symcheck import numerics
 from symcheck.analysis import find_witness
 from symcheck.numerics import (
+    GRID_MAX_POINTS,
+    KORN2_BLOCK,
+    PHASE_MEMO_BYTES,
+    GridBudgetExceeded,
     GridField,
     NyquistViolation,
     PlaneWaveFamily,
@@ -27,6 +32,8 @@ from symcheck.operators import DiffOp, OperatorPair, catalog, grad_power
 
 from helpers import (
     rand_op,
+    reference_bb_ratio_experiment,
+    reference_korn_constant_p2,
     reference_symbol_at_float,
     reference_symbol_quotient_norm,
     reference_trig_apply,
@@ -178,6 +185,36 @@ class TestBBExperiment:
             bb_ratio_experiment(1, 1, trials=1)
 
 
+class TestGridBudget:
+    """A grid of more than GRID_MAX_POINTS points is refused before any of
+    it is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_grid_is_built(self, monkeypatch):
+        def refuse(N, n):
+            raise AssertionError(f"a grid of {n}^{N} points was built")
+        monkeypatch.setattr(numerics, "grid_points", refuse)
+
+    def test_the_experiment_grids_fit(self):
+        assert max(256 ** 2, (2 * 32) ** 2, 32 ** 2, 32 ** 3) <= GRID_MAX_POINTS
+
+    def test_bb(self):
+        with pytest.raises(GridBudgetExceeded, match=r"32\^6 = 1073741824"):
+            bb_ratio_experiment(1, 6, trials=1, n_grid=32)
+
+    def test_blowup(self):
+        pair, w = div_grad_witness()
+        with pytest.raises(GridBudgetExceeded):
+            counterexample_blowup(pair, w, n_grid=2048)
+
+    def test_sobolev_checks_the_refined_grid(self):
+        pair = OperatorPair(catalog("gradient", 2), grad_power(0, 1, 2), "sobolev")
+        n = math.isqrt(GRID_MAX_POINTS) // 2 + 1
+        assert n ** 2 <= GRID_MAX_POINTS < (2 * n) ** 2
+        with pytest.raises(GridBudgetExceeded):
+            sobolev_ratio_experiment(pair, 1.0, trials=1, n_grid=n)
+
+
 class TestSobolevExperiment:
     def test_bounded_for_gradient_identity(self):
         pair = OperatorPair(catalog("gradient", 2), grad_power(0, 1, 2), "sobolev")
@@ -214,6 +251,17 @@ def _reweighted(op, weights):
     return DiffOp(op.name, op.N, op.d, op.l, op.k, op.terms, weights)
 
 
+def _hexed(value):
+    """value with every float replaced by its float.hex."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: _hexed(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_hexed(v) for v in value]
+    return value
+
+
 def _unit_points(N, count, seed):
     """The coordinate axes, then random unit vectors."""
     rng = np.random.default_rng(seed)
@@ -241,6 +289,9 @@ class TestBitIdentity:
             catalog("divergence", 2), catalog("divergence", 2)),
         # the kernel of calA leaks through A: inf at every xi
         "divergence(2) -> D": lambda: (catalog("divergence", 2), full_gradient(2)),
+        # order 2: squares as well as products of coordinates
+        "hessian of a 2-field (3) -> random order 2": lambda: (
+            grad_power(2, 2, 3), rand_op(random.Random(3), N=3, d=2, l=3, k=2)),
     }
 
     @pytest.mark.parametrize("name", list(PAIRS))
@@ -248,13 +299,52 @@ class TestBitIdentity:
         calA, A = self.PAIRS[name]()
         pair = OperatorPair(calA, A, "korn")
         quotient_norm = _symbol_quotient_norm(pair)
-        values = []
-        for xi in _unit_points(calA.N, 400, seed=len(name)):
-            value = quotient_norm(xi)
-            assert value.hex() == reference_symbol_quotient_norm(pair, xi).hex()
-            values.append(value)
+        points = np.array(_unit_points(calA.N, 400, seed=len(name)))
+        values = quotient_norm(points)
+        assert [v.hex() for v in values] == [
+            reference_symbol_quotient_norm(pair, xi).hex() for xi in points]
+        assert [quotient_norm(xi[None])[0].hex() for xi in points[:20]] == [
+            v.hex() for v in values[:20]]
         leaks = name == "divergence(2) -> D"
         assert [math.isinf(v) for v in values] == [leaks] * len(values)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_korn_constant_p2(self, monkeypatch, seed):
+        calA, A = self.PAIRS["reweighted sym_gradient(3) -> weighted D"]()
+        pair = OperatorPair(calA, A, "korn")
+        evaluated = []
+        make = numerics._symbol_quotient_norm
+
+        def recording(pair):
+            quotient_norm = make(pair)
+            return lambda points: evaluated.extend(points.copy()) or quotient_norm(points)
+
+        monkeypatch.setattr(numerics, "_symbol_quotient_norm", recording)
+        samples = KORN2_BLOCK + 37  # a full block, then a part of one
+        value = korn_constant_p2(pair, samples=samples, seed=seed)
+        reference, points = reference_korn_constant_p2(pair, samples, seed=seed)
+        assert value.hex() == reference.hex()
+        # the same unit vectors, bit for bit, in the same order
+        assert np.array_equal(np.array(evaluated), np.array(points))
+
+    @pytest.mark.parametrize("k,N,n_grid,trials,evicts", [
+        (1, 2, 16, 40, False),
+        (2, 2, 16, 40, False),
+        (1, 3, 8, 20, False),
+        (2, 3, 8, 20, False),
+        # 16^3 complex phases take 64 KiB each: the memo holds 32 of them
+        (1, 3, 16, 30, True),
+    ])
+    def test_bb_report(self, monkeypatch, k, N, n_grid, trials, evicts):
+        computed = []
+        phase = numerics._phase
+        monkeypatch.setattr(numerics, "_phase", lambda X, m: computed.append(m) or phase(X, m))
+        report = bb_ratio_experiment(k, N, trials=trials, n_grid=n_grid, seed=k + N)
+        reference = reference_bb_ratio_experiment(k, N, trials, n_grid, seed=k + N)
+        assert _hexed(report.to_dict()) == _hexed(reference.to_dict())
+        assert (16 * n_grid ** N * len(set(computed)) > PHASE_MEMO_BYTES) == evicts
+        # each frequency's phase is computed once unless the memo dropped it
+        assert (len(computed) > len(set(computed))) == evicts
 
     def test_float_symbol(self):
         rng = random.Random(0)
@@ -266,8 +356,8 @@ class TestBitIdentity:
             points = [nrng.standard_normal(op.N) for _ in range(20)]
             points += [np.array(nrng.integers(-4, 5, size=op.N), dtype=float)
                        for _ in range(10)]
-            for xi in points:
-                assert np.array_equal(symbol(xi), reference_symbol_at_float(op, xi))
+            for xi, S in zip(points, symbol(np.array(points))):
+                assert np.array_equal(S, reference_symbol_at_float(op, xi))
 
     @pytest.mark.parametrize("N,d,n_grid", [(2, 1, 16), (2, 3, 32), (3, 2, 12)])
     def test_trig_sample_apply_and_derivative(self, N, d, n_grid):
