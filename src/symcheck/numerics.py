@@ -40,9 +40,6 @@ class ParameterError(ValueError):
 # GridBudgetExceeded (the command line exits 3) before anything is allocated.
 GRID_MAX_POINTS = 1 << 20
 
-# Bytes of phases bb_ratio_experiment keeps for reuse within one call.
-PHASE_MEMO_BYTES = 2 << 20
-
 
 class GridBudgetExceeded(Exception):
     """The grid would have more than GRID_MAX_POINTS points."""
@@ -480,6 +477,10 @@ def random_trig_field(
 # ---------------------------------------------------------------------------
 # Bourgain-Brezis ratio experiment
 # ---------------------------------------------------------------------------
+
+
+# Bytes of phases bb_ratio_experiment keeps for reuse within one call.
+PHASE_MEMO_BYTES = 2 << 20
 
 
 def bb_ratio_experiment(
