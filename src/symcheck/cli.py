@@ -416,6 +416,8 @@ def main(argv=None) -> int:
     if args.command == "experiment" and args.kind != "bb" and not (args.calA and args.A):
         parser.error(f"experiment {args.kind} requires -a and -A operator files")
     try:
+        if getattr(args, "s_max", 0) < 0:
+            raise ParameterError(f"--s-max must be at least 0, got {args.s_max}")
         return args.func(args)
     except (OperatorFormatError, ParameterError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

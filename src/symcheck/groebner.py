@@ -4,9 +4,10 @@ origin-only test for homogeneous ideals.
 Module elements are tuples of MultiPoly (rank-m free module over the
 polynomial ring); ideals are the rank-1 case.  Every basis tracks exact
 representation coefficients in terms of the original generators, so that
-membership certificates come out of the reduction itself.  The origin-only
-test needs no Groebner basis: `zero_dim_origin` decides it by the rank of
-one Macaulay matrix.
+membership certificates come out of the reduction itself: one in-place
+multiply-add on term maps serves division, representations and S-pairs.
+The origin-only test needs no Groebner basis: `zero_dim_origin` decides it
+by the rank of one Macaulay matrix.
 """
 
 from __future__ import annotations
@@ -65,35 +66,27 @@ class TermOrder:
         return f"TermOrder({self.kind!r})"
 
 
-def _leading_term(g: ModuleElement, order: TermOrder):
-    """Leading (position, exponent) and coefficient of a module element."""
-    best = None
-    for pos, p in enumerate(g):
-        for exp in p.terms:
-            t = (pos, exp)
-            if best is None or order.module_key(t) > order.module_key(best):
-                best = t
-    if best is None:
-        return None, None
-    return best, g[best[0]].terms[best[1]]
+def _term_map(g: ModuleElement) -> dict:
+    return {(pos, exp): c for pos, p in enumerate(g) for exp, c in p.terms.items()}
 
 
-def _mono_mul(g: ModuleElement, exp: tuple[int, ...], c) -> ModuleElement:
-    nv = g[0].nvars
-    m = MultiPoly.monomial(nv, exp, c)
-    return tuple(p * m for p in g)
+def _polys(m: dict, length: int, nvars: int) -> list[MultiPoly]:
+    """The term map m as `length` polynomials, one per position."""
+    parts: list[dict] = [{} for _ in range(length)]
+    for (pos, exp), c in m.items():
+        parts[pos][exp] = c
+    return [MultiPoly(nvars, p) for p in parts]
 
 
-def _sub(g: ModuleElement, h: ModuleElement) -> ModuleElement:
-    return tuple(a - b for a, b in zip(g, h))
-
-
-def _is_zero_elt(g: ModuleElement) -> bool:
-    return all(p.is_zero for p in g)
-
-
-def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+def _add_multiple(target: dict, c: Fraction, shift: tuple[int, ...], source: dict):
+    """target += c * x^shift * source, in place; terms that cancel are dropped."""
+    for (pos, exp), v in source.items():
+        key = (pos, tuple(a + b for a, b in zip(exp, shift)))
+        s = target.get(key, 0) + c * v
+        if s:
+            target[key] = s
+        else:
+            del target[key]
 
 
 class GroebnerBasis:
@@ -101,175 +94,137 @@ class GroebnerBasis:
 
     `generators` are the reduced basis elements (module elements); `reps[i]`
     expresses generators[i] as a polynomial combination of the original
-    input generators.
+    input generators.  Inside, each basis entry is a triple (element,
+    representation, leading term), both term maps {(position, exponent):
+    Fraction}; a representation's positions are the input generators.
     """
 
     def __init__(self, gens: Sequence[ModuleElement], order: TermOrder):
-        gens = [tuple(g) for g in gens if not _is_zero_elt(g)]
+        gens = [tuple(g) for g in gens if any(g)]  # drop zero elements
         if not gens:
             raise ValueError("empty (or all-zero) generator list")
         self.rank = len(gens[0])
         self.nvars = gens[0][0].nvars
         self.order = order
-        self.input_gens = list(gens)
-        self.generators: list[ModuleElement] = []
-        self.reps: list[list[MultiPoly]] = []
-        self._buchberger()
-        self._autoreduce()
+        self.input_gens = gens
+        self._basis = self._autoreduce(self._buchberger())
+        nv = self.nvars
+        self.generators = [tuple(_polys(g, self.rank, nv)) for g, _, _ in self._basis]
+        self.reps = [_polys(rep, len(gens), nv) for _, rep, _ in self._basis]
 
     # -- construction ----------------------------------------------------
 
-    def _divide(self, f: ModuleElement, basis):
-        """Division of f by `basis` (first divisor wins).
+    def _lead(self, g: dict) -> tuple[int, tuple[int, ...]]:
+        return max(g, key=self.order.module_key)
+
+    def _reduce(self, f: dict, rep: Optional[dict], basis) -> dict:
+        """Division of f by `basis` (first divisor wins), consuming f.
 
         Returns the remainder, no term of which is divisible by a leading
-        term of the basis, and quotients q_i with
-        f = sum q_i * basis[i] + remainder.
+        term of the basis.  Each step subtracts c * x^u * g from f and,
+        unless rep is None, c * x^u * (the representation of g) from rep.
         """
-        order = self.order
-        leads = [_leading_term(g, order) for g in basis]
-        zero = MultiPoly.zero(self.nvars)
-        quots = [zero] * len(basis)
-        rem = (zero,) * self.rank
-        work = f
-        while not _is_zero_elt(work):
-            (pos, exp), lc = _leading_term(work, order)
-            hit = next(
-                (
-                    i
-                    for i, ((gpos, gexp), _) in enumerate(leads)
-                    if gpos == pos and _divides(gexp, exp)
-                ),
-                None,
-            )
+        rem = {}
+        while f:
+            lead = self._lead(f)
+            pos, exp = lead
+            hit = next((b for b in basis if b[2][0] == pos
+                        and all(x <= y for x, y in zip(b[2][1], exp))), None)
             if hit is None:
-                # move the leading term to the remainder
-                mono = MultiPoly.monomial(self.nvars, exp, lc)
-                rem = tuple(r + mono if j == pos else r for j, r in enumerate(rem))
-                work = tuple(w - mono if j == pos else w for j, w in enumerate(work))
+                rem[lead] = f.pop(lead)
                 continue
-            (_, gexp), gc = leads[hit]
-            qexp = tuple(a - b for a, b in zip(exp, gexp))
-            qc = lc / gc
-            quots[hit] = quots[hit] + MultiPoly.monomial(self.nvars, qexp, qc)
-            work = _sub(work, _mono_mul(basis[hit], qexp, qc))
-        return rem, quots
+            g, grep, glead = hit
+            shift = tuple(a - b for a, b in zip(exp, glead[1]))
+            c = -f[lead] / g[glead]
+            _add_multiple(f, c, shift, g)
+            if rep is not None:
+                _add_multiple(rep, c, shift, grep)
+        return rem
 
-    def _reduce_full(self, f: ModuleElement, rep: list[MultiPoly], basis, reps):
-        """Remainder of f modulo basis, with its representation: rep minus
-        the quotients applied to the basis elements' representations."""
-        rem, quots = self._divide(f, basis)
-        for q, qrep in zip(quots, reps):
-            if not q.is_zero:
-                rep = [r - q * gr for r, gr in zip(rep, qrep)]
-        return rem, list(rep)
+    @staticmethod
+    def _spair(a, b):
+        """S-pair of two basis entries with its representation, or None when
+        their leading terms sit in different positions."""
+        (g, grep, (gp, ge)), (h, hrep, (hp, he)) = a, b
+        if gp != hp:
+            return None
+        lcm = tuple(max(x, y) for x, y in zip(ge, he))
+        ug = tuple(x - y for x, y in zip(lcm, ge))
+        uh = tuple(x - y for x, y in zip(lcm, he))
+        cg, ch = Fraction(1) / g[gp, ge], -Fraction(1) / h[hp, he]
+        s, rep = {}, {}
+        for target, x, y in ((s, g, h), (rep, grep, hrep)):
+            _add_multiple(target, cg, ug, x)
+            _add_multiple(target, ch, uh, y)
+        return s, rep
 
-    def _buchberger(self):
-        n_in = len(self.input_gens)
-        basis: list[ModuleElement] = []
-        reps: list[list[MultiPoly]] = []
+    def _buchberger(self) -> list:
+        basis: list = []
+
+        def add(f, rep) -> bool:
+            rem = self._reduce(f, rep, basis)
+            if rem:
+                basis.append((rem, rep, self._lead(rem)))
+            return bool(rem)
+
+        zero = (0,) * self.nvars
         for i, g in enumerate(self.input_gens):
-            rep = [
-                MultiPoly.const(self.nvars, 1) if j == i else MultiPoly.zero(self.nvars)
-                for j in range(n_in)
-            ]
-            rem, rrep = self._reduce_full(g, rep, basis, reps)
-            if not _is_zero_elt(rem):
-                basis.append(rem)
-                reps.append(rrep)
+            add(_term_map(g), {(i, zero): Fraction(1)})
         pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
         while pairs:
             i, j = pairs.pop(0)
-            s, srep = self._spair(basis[i], reps[i], basis[j], reps[j])
-            if s is None:
-                continue
-            rem, rrep = self._reduce_full(s, srep, basis, reps)
-            if not _is_zero_elt(rem):
-                pairs.extend((len(basis), t) for t in range(len(basis)))
-                basis.append(rem)
-                reps.append(rrep)
-        self.generators = basis
-        self.reps = reps
+            n = len(basis)
+            pair = self._spair(basis[i], basis[j])
+            if pair is not None and add(*pair):
+                pairs.extend((n, t) for t in range(n))
+        return basis
 
-    def _spair(self, g, grep, h, hrep):
-        (gp, ge), gc = _leading_term(g, self.order)
-        (hp, he), hc = _leading_term(h, self.order)
-        if gp != hp:
-            return None, None
-        lcm = tuple(max(a, b) for a, b in zip(ge, he))
-        ug = tuple(a - b for a, b in zip(lcm, ge))
-        uh = tuple(a - b for a, b in zip(lcm, he))
-        s = _sub(
-            _mono_mul(g, ug, Fraction(1) / gc),
-            _mono_mul(h, uh, Fraction(1) / hc),
-        )
-        mg = MultiPoly.monomial(self.nvars, ug, Fraction(1) / gc)
-        mh = MultiPoly.monomial(self.nvars, uh, Fraction(1) / hc)
-        rep = [mg * a - mh * b for a, b in zip(grep, hrep)]
-        return s, rep
-
-    def _autoreduce(self):
-        # normalize leading coefficients and tail-reduce every element
+    def _autoreduce(self, basis: list) -> list:
+        # tail-reduce every element, then normalize leading coefficients
         changed = True
         while changed:
             changed = False
-            for i in range(len(self.generators)):
-                others = self.generators[:i] + self.generators[i + 1 :]
-                oreps = self.reps[:i] + self.reps[i + 1 :]
-                rem, rrep = self._reduce_full(
-                    self.generators[i], self.reps[i], others, oreps
-                )
-                if _is_zero_elt(rem):
-                    del self.generators[i]
-                    del self.reps[i]
+            for i, (g, rep, _) in enumerate(basis):
+                rep = dict(rep)
+                rem = self._reduce(dict(g), rep, basis[:i] + basis[i + 1 :])
+                if not rem:
+                    del basis[i]
                     changed = True
                     break
-                if rem != self.generators[i]:
-                    changed = True
-                self.generators[i] = rem
-                self.reps[i] = rrep
-        for i, g in enumerate(self.generators):
-            _, lc = _leading_term(g, self.order)
-            inv = Fraction(1) / lc
-            self.generators[i] = tuple(p * inv for p in g)
-            self.reps[i] = [p * inv for p in self.reps[i]]
+                changed = changed or rem != g
+                basis[i] = (rem, rep, self._lead(rem))
+        for g, rep, lead in basis:
+            inv = Fraction(1) / g[lead]
+            for m in (g, rep):
+                for k in m:
+                    m[k] *= inv
         # deterministic ordering by leading term
-        idx = sorted(
-            range(len(self.generators)),
-            key=lambda i: self.order.module_key(
-                _leading_term(self.generators[i], self.order)[0]
-            ),
-        )
-        self.generators = [self.generators[i] for i in idx]
-        self.reps = [self.reps[i] for i in idx]
+        basis.sort(key=lambda b: self.order.module_key(b[2]))
+        return basis
 
     # -- queries ----------------------------------------------------------
 
-    def normal_form(self, f: ModuleElement, with_quotients: bool = False):
-        """Unique remainder of f modulo the basis.
-
-        With with_quotients=True also returns quotients q_i against the
-        reduced basis such that f = sum q_i * generators[i] + remainder.
-        """
+    def _remainder(self, f: ModuleElement, rep: Optional[dict] = None) -> dict:
         f = tuple(f)
         if len(f) != self.rank:
             raise ValueError("module rank mismatch")
-        rem, quots = self._divide(f, self.generators)
-        if with_quotients:
-            return rem, quots
-        return rem
+        return self._reduce(_term_map(f), rep, self._basis)
+
+    def normal_form(self, f: ModuleElement) -> ModuleElement:
+        """Unique remainder of f modulo the basis."""
+        return tuple(_polys(self._remainder(f), self.rank, self.nvars))
 
     def express(self, target: ModuleElement):
         """Coefficients q_1..q_n with target = sum q_j * input_gens[j], or
-        None if target is not in the module; re-verified by exact expansion."""
-        rem, quots = self.normal_form(target, with_quotients=True)
-        if not _is_zero_elt(rem):
+        None if target is not in the module; re-verified by exact expansion.
+
+        Reducing target to zero tracks -sum q_j * input_gens[j] in `rep`.
+        """
+        rep: dict = {}
+        if self._remainder(target, rep):
             return None
         nv = self.nvars
-        coeffs = [MultiPoly.zero(nv) for _ in self.input_gens]
-        for q, rep in zip(quots, self.reps):
-            if not q.is_zero:
-                coeffs = [c + q * r for c, r in zip(coeffs, rep)]
+        coeffs = [-q for q in _polys(rep, len(self.input_gens), nv)]
         acc = tuple(MultiPoly.zero(nv) for _ in range(self.rank))
         for c, g in zip(coeffs, self.input_gens):
             acc = tuple(a + c * p for a, p in zip(acc, g))
@@ -278,21 +233,18 @@ class GroebnerBasis:
         return coeffs
 
     def contains(self, f: ModuleElement) -> bool:
-        return _is_zero_elt(self.normal_form(f))
+        return not self._remainder(f)
 
     def leading_exponents(self) -> list[tuple[int, tuple[int, ...]]]:
-        return [_leading_term(g, self.order)[0] for g in self.generators]
+        return [lead for _, _, lead in self._basis]
 
     def verify(self) -> bool:
         """Buchberger criterion: every S-pair reduces to zero (exhaustive)."""
-        for i in range(len(self.generators)):
-            for j in range(i):
-                s, _ = self._spair(
-                    self.generators[i], self.reps[i], self.generators[j], self.reps[j]
-                )
-                if s is None:
-                    continue
-                if not _is_zero_elt(self.normal_form(s)):
+        basis = self._basis
+        for i, a in enumerate(basis):
+            for b in basis[:i]:
+                pair = self._spair(a, b)
+                if pair is not None and self._reduce(pair[0], None, basis):
                     return False
         # the input generators must reduce to zero as well
         return all(self.contains(g) for g in self.input_gens)
@@ -303,19 +255,9 @@ class GroebnerBasis:
 # ---------------------------------------------------------------------------
 
 
-def buchberger_ideal(gens: Sequence[MultiPoly], order: Optional[TermOrder] = None) -> GroebnerBasis:
+def buchberger_ideal(gens: Sequence[MultiPoly]) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by `gens`."""
-    order = order or TermOrder("grevlex")
-    wrapped = [(g,) for g in gens if not g.is_zero]
-    if not wrapped:
-        raise ValueError("empty (or all-zero) generator list")
-    return GroebnerBasis(wrapped, order)
-
-
-def normal_form_ideal(f: MultiPoly, G: GroebnerBasis) -> MultiPoly:
-    if G.rank != 1:
-        raise ValueError("not an ideal basis")
-    return G.normal_form((f,))[0]
+    return GroebnerBasis([(g,) for g in gens], TermOrder())
 
 
 def zero_dim_origin(gens: Sequence[MultiPoly]) -> bool:
@@ -362,15 +304,11 @@ def zero_dim_origin(gens: Sequence[MultiPoly]) -> bool:
     return len(forward_eliminate(rows, ncols)) == ncols
 
 
-def module_member_with_coeffs(
-    target: ModuleElement,
-    gens: Sequence[ModuleElement],
-    order: Optional[TermOrder] = None,
-):
+def module_member_with_coeffs(target: ModuleElement, gens: Sequence[ModuleElement]):
     """Express `target` in the module generated by `gens`, or return None.
 
     On success returns polynomials q_1..q_n with target = sum q_j * gens[j],
     re-verified by exact expansion.  To test several targets against the
     same generators, build one GroebnerBasis and call its `express`.
     """
-    return GroebnerBasis(gens, order or TermOrder("grevlex")).express(target)
+    return GroebnerBasis(gens, TermOrder()).express(target)

@@ -285,6 +285,8 @@ def korn_constant_p2(
     """
     if samples < 1:
         raise ParameterError(f"samples must be at least 1, got samples = {samples}")
+    if seed < 0:
+        raise ParameterError(f"seed must be at least 0, got seed = {seed}")
     verdict = kernel_inclusion(pair)
     if not verdict.holds:
         raise InclusionFails("kernel inclusion fails; the constant is infinite")
@@ -482,6 +484,9 @@ def random_trig_field(
 # Bytes of phases bb_ratio_experiment keeps for reuse within one call.
 PHASE_MEMO_BYTES = 2 << 20
 
+# Each bb trial field has BB_MODES random modes with entries in [-BB_BAND, BB_BAND].
+BB_BAND, BB_MODES = 4, 6
+
 
 def bb_ratio_experiment(
     k: int,
@@ -489,8 +494,6 @@ def bb_ratio_experiment(
     trials: int = 1000,
     n_grid: int = 32,
     seed: int = 0,
-    band: int = 4,
-    n_modes: int = 6,
 ) -> ExperimentReport:
     """Sampled ratios |int v.phi| / (||v||_1 ||Dphi||_N) for k-fold
     divergence-free v and smooth compactly supported phi.
@@ -506,6 +509,8 @@ def bb_ratio_experiment(
         raise ParameterError(f"trials must be at least 1, got trials = {trials}")
     if n_grid < 1:
         raise ParameterError(f"grid must be at least 1, got n_grid = {n_grid}")
+    if seed < 0:
+        raise ParameterError(f"seed must be at least 0, got seed = {seed}")
     _check_grid(N, n_grid)
     betas = monomials_of_degree(N, k)
     M_k = len(betas)
@@ -514,7 +519,7 @@ def bb_ratio_experiment(
         name="bb_ratio_experiment",
         parameters={
             "k": k, "N": N, "trials": trials, "n_grid": n_grid,
-            "seed": seed, "band": band,
+            "seed": seed, "band": BB_BAND,
         },
         notes=[
             "component count uses the multi-index enumeration "
@@ -556,7 +561,7 @@ def bb_ratio_experiment(
     max_residual = 0.0
     ratios = []
     for _ in range(trials):
-        v = random_trig_field(rng, N, M_k, band, n_modes)
+        v = random_trig_field(rng, N, M_k, BB_BAND, BB_MODES)
         # exact per-frequency projection onto ker of the div^k symbol
         proj = {}
         for m, c in v.coeffs.items():
@@ -639,6 +644,8 @@ def sobolev_ratio_experiment(
         raise ParameterError(f"trials must be at least 1, got trials = {trials}")
     if n_grid < 1:
         raise ParameterError(f"grid must be at least 1, got n_grid = {n_grid}")
+    if seed < 0:
+        raise ParameterError(f"seed must be at least 0, got seed = {seed}")
     _check_grid(N, 2 * n_grid)  # the refined grid is the larger one
     p_star = N * p / (N - p)
     verdict = kernel_inclusion(pair)

@@ -614,3 +614,163 @@ def reference_annihilator(op, seed=0):
         b_op = DiffOp(f"ann[{op.name}]", op.N, l, l, order, terms)
     return Annihilator(op=b_op, order=order, charpoly_coeffs=tuple(shifted),
                        m=l, sign=sign)
+
+
+# ---------------------------------------------------------------------------
+# reference implementation of the Groebner engine as it was before it ran on
+# term maps: module elements are tuples of MultiPoly rebuilt on every
+# division step, and representations are collected from the quotients.
+# Representations are not unique, so equal representations pin the
+# operation sequence; the differential tests compare the library with it
+# ---------------------------------------------------------------------------
+
+
+def _reference_leading_term(g, order):
+    best = None
+    for pos, p in enumerate(g):
+        for exp in p.terms:
+            t = (pos, exp)
+            if best is None or order.module_key(t) > order.module_key(best):
+                best = t
+    if best is None:
+        return None, None
+    return best, g[best[0]].terms[best[1]]
+
+
+def _reference_mono_mul(g, exp, c):
+    m = MultiPoly.monomial(g[0].nvars, exp, c)
+    return tuple(p * m for p in g)
+
+
+def _reference_sub(g, h):
+    return tuple(a - b for a, b in zip(g, h))
+
+
+def _reference_is_zero(g):
+    return all(p.is_zero for p in g)
+
+
+class ReferenceGroebnerBasis:
+    """Buchberger with a FIFO pair queue, first-divisor division, an
+    autoreduce loop, normalised leading coefficients and a final sort by
+    leading term; `generators`, `reps` and `express` as in the library."""
+
+    def __init__(self, gens, order):
+        gens = [tuple(g) for g in gens if not _reference_is_zero(g)]
+        self.rank = len(gens[0])
+        self.nvars = gens[0][0].nvars
+        self.order = order
+        self.input_gens = list(gens)
+        self._buchberger()
+        self._autoreduce()
+
+    def _divide(self, f, basis):
+        order = self.order
+        leads = [_reference_leading_term(g, order) for g in basis]
+        zero = MultiPoly.zero(self.nvars)
+        quots = [zero] * len(basis)
+        rem = (zero,) * self.rank
+        work = f
+        while not _reference_is_zero(work):
+            (pos, exp), lc = _reference_leading_term(work, order)
+            hit = next(
+                (i for i, ((gpos, gexp), _) in enumerate(leads)
+                 if gpos == pos and all(x <= y for x, y in zip(gexp, exp))),
+                None,
+            )
+            if hit is None:
+                mono = MultiPoly.monomial(self.nvars, exp, lc)
+                rem = tuple(r + mono if j == pos else r for j, r in enumerate(rem))
+                work = tuple(w - mono if j == pos else w for j, w in enumerate(work))
+                continue
+            (_, gexp), gc = leads[hit]
+            qexp = tuple(a - b for a, b in zip(exp, gexp))
+            qc = lc / gc
+            quots[hit] = quots[hit] + MultiPoly.monomial(self.nvars, qexp, qc)
+            work = _reference_sub(work, _reference_mono_mul(basis[hit], qexp, qc))
+        return rem, quots
+
+    def _reduce_full(self, f, rep, basis, reps):
+        rem, quots = self._divide(f, basis)
+        for q, qrep in zip(quots, reps):
+            if not q.is_zero:
+                rep = [r - q * gr for r, gr in zip(rep, qrep)]
+        return rem, list(rep)
+
+    def _buchberger(self):
+        n_in = len(self.input_gens)
+        basis, reps = [], []
+        for i, g in enumerate(self.input_gens):
+            rep = [MultiPoly.const(self.nvars, 1) if j == i else MultiPoly.zero(self.nvars)
+                   for j in range(n_in)]
+            rem, rrep = self._reduce_full(g, rep, basis, reps)
+            if not _reference_is_zero(rem):
+                basis.append(rem)
+                reps.append(rrep)
+        pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
+        while pairs:
+            i, j = pairs.pop(0)
+            s, srep = self._spair(basis[i], reps[i], basis[j], reps[j])
+            if s is None:
+                continue
+            rem, rrep = self._reduce_full(s, srep, basis, reps)
+            if not _reference_is_zero(rem):
+                pairs.extend((len(basis), t) for t in range(len(basis)))
+                basis.append(rem)
+                reps.append(rrep)
+        self.generators = basis
+        self.reps = reps
+
+    def _spair(self, g, grep, h, hrep):
+        (gp, ge), gc = _reference_leading_term(g, self.order)
+        (hp, he), hc = _reference_leading_term(h, self.order)
+        if gp != hp:
+            return None, None
+        lcm = tuple(max(a, b) for a, b in zip(ge, he))
+        ug = tuple(a - b for a, b in zip(lcm, ge))
+        uh = tuple(a - b for a, b in zip(lcm, he))
+        s = _reference_sub(_reference_mono_mul(g, ug, Fraction(1) / gc),
+                           _reference_mono_mul(h, uh, Fraction(1) / hc))
+        mg = MultiPoly.monomial(self.nvars, ug, Fraction(1) / gc)
+        mh = MultiPoly.monomial(self.nvars, uh, Fraction(1) / hc)
+        return s, [mg * a - mh * b for a, b in zip(grep, hrep)]
+
+    def _autoreduce(self):
+        changed = True
+        while changed:
+            changed = False
+            for i in range(len(self.generators)):
+                others = self.generators[:i] + self.generators[i + 1:]
+                oreps = self.reps[:i] + self.reps[i + 1:]
+                rem, rrep = self._reduce_full(self.generators[i], self.reps[i], others, oreps)
+                if _reference_is_zero(rem):
+                    del self.generators[i]
+                    del self.reps[i]
+                    changed = True
+                    break
+                if rem != self.generators[i]:
+                    changed = True
+                self.generators[i] = rem
+                self.reps[i] = rrep
+        for i, g in enumerate(self.generators):
+            _, lc = _reference_leading_term(g, self.order)
+            inv = Fraction(1) / lc
+            self.generators[i] = tuple(p * inv for p in g)
+            self.reps[i] = [p * inv for p in self.reps[i]]
+        idx = sorted(
+            range(len(self.generators)),
+            key=lambda i: self.order.module_key(
+                _reference_leading_term(self.generators[i], self.order)[0]),
+        )
+        self.generators = [self.generators[i] for i in idx]
+        self.reps = [self.reps[i] for i in idx]
+
+    def express(self, target):
+        rem, quots = self._divide(tuple(target), self.generators)
+        if not _reference_is_zero(rem):
+            return None
+        coeffs = [MultiPoly.zero(self.nvars) for _ in self.input_gens]
+        for q, rep in zip(quots, self.reps):
+            if not q.is_zero:
+                coeffs = [c + q * r for c, r in zip(coeffs, rep)]
+        return coeffs

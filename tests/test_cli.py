@@ -192,6 +192,17 @@ class TestCompare:
         assert code == 2
         assert read(out)["status"] == "HYPOTHESES_NOT_MET"
 
+    def test_negative_s_max_is_an_input_error(self, ops_dir, tmp_path, capsys):
+        # exit 4 before any work, not exit 3 with S_MAX_EXCEEDED
+        out = tmp_path / "r.json"
+        code = main(["compare", "-a", str(ops_dir / "symgrad2.json"),
+                     "-A", str(ops_dir / "fullgrad2.json"), "--s-max", "-1",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "--s-max must be at least 0" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestExperiment:
     def test_korn2(self, ops_dir, tmp_path):
@@ -304,8 +315,8 @@ class TestMismatchedPair:
 
 
 class TestExperimentSizes:
-    """An experiment size below 1 is an input error: exit 4 and the reason
-    on stderr, never a traceback."""
+    """An experiment size below 1, a negative seed or a negative --s-max is
+    an input error: exit 4 and the reason on stderr, never a traceback."""
 
     @pytest.mark.parametrize("kind,flags,reason", [
         ("korn2", ["--trials", "0"], "samples must be at least 1"),
@@ -317,6 +328,10 @@ class TestExperimentSizes:
         ("bb", ["--trials", "0"], "trials must be at least 1"),
         ("sobolev", ["--trials", "0"], "trials must be at least 1"),
         ("sobolev", ["--grid", "0"], "grid must be at least 1"),
+        ("korn2", ["--seed", "-1"], "seed must be at least 0"),
+        ("bb", ["--seed", "-1"], "seed must be at least 0"),
+        ("sobolev", ["--seed", "-1"], "seed must be at least 0"),
+        ("sobolev", ["--s-max", "-2"], "--s-max must be at least 0"),
     ])
     def test_exit_4(self, ops_dir, capsys, kind, flags, reason):
         save_op(grad_power(0, 1, 2), ops_dir / "id2.json")

@@ -4,18 +4,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symcheck.analysis import generic_rank
+import symcheck.analysis as analysis
+from symcheck.analysis import HypothesesNotMet, construct_L, generic_rank, kernel_inclusion
 from symcheck.exact import MultiPoly, monomials_of_degree
 from symcheck.groebner import (
     GroebnerBasis,
     TermOrder,
     buchberger_ideal,
     module_member_with_coeffs,
-    normal_form_ideal,
     zero_dim_origin,
 )
-from symcheck.operators import catalog
-from helpers import rand_homogeneous, rand_poly
+from symcheck.operators import OperatorPair, catalog, serialize_op
+from helpers import ReferenceGroebnerBasis, rand_homogeneous, rand_op, rand_poly
 
 
 def P(nvars, terms):
@@ -98,7 +98,7 @@ def zero_dim_origin_by_groebner(gens):
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return False
-    G = buchberger_ideal(gens, TermOrder("grevlex"))
+    G = buchberger_ideal(gens)
     covered = set()
     for _, exp in G.leading_exponents():
         support = [i for i, e in enumerate(exp) if e]
@@ -160,7 +160,7 @@ class TestBuchberger:
             G = buchberger_ideal([g1, g2])
             q1 = rand_poly(rng, 2, max_deg=2)
             q2 = rand_poly(rng, 2, max_deg=2)
-            assert normal_form_ideal(q1 * g1 + q2 * g2, G).is_zero
+            assert G.normal_form((q1 * g1 + q2 * g2,))[0].is_zero
 
     def test_determinism(self):
         gens = [
@@ -214,6 +214,55 @@ class TestModuleMembership:
         member = (xi1 * xi1 * xi2 + xi2 * xi2 * xi2,)
         assert module_member_with_coeffs(member, gens) is not None
         assert module_member_with_coeffs((xi1 * xi2,), gens) is None
+
+
+class TestMatchesReference:
+    """The engine against the reference in helpers.py, which rebuilds tuples
+    of MultiPoly on every step: equal bases, equal representations and
+    equal `express` coefficients. Representations are not unique, so this
+    pins the order of the operations, not only their result."""
+
+    @pytest.mark.parametrize("rank,nvars", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_random_modules(self, rank, nvars):
+        rng = random.Random(100 * rank + nvars)
+        for _ in range(6):
+            gens = [
+                tuple(rand_homogeneous(rng, nvars, deg) for _ in range(rank))
+                for deg in (rng.randint(1, 2) for _ in range(rng.randint(2, 4)))
+            ]
+            if all(p.is_zero for g in gens for p in g):
+                continue
+            G = GroebnerBasis(gens, TermOrder())
+            R = ReferenceGroebnerBasis(gens, TermOrder())
+            assert G.generators == R.generators
+            assert G.reps == R.reps
+            qs = [rand_poly(rng, nvars, max_deg=2) for _ in gens]
+            member = tuple(
+                sum((q * g[j] for q, g in zip(qs, gens)), MultiPoly.zero(nvars))
+                for j in range(rank)
+            )
+            other = tuple(rand_poly(rng, nvars, max_deg=2) for _ in range(rank))
+            for target in (member, other):
+                assert G.express(target) == R.express(target)
+
+    def test_construct_L_at_s_4(self, monkeypatch):
+        # a 4x2 order-2 calA and a 1x2 order-2 A in N = 3; a 7-element basis
+        rng = random.Random(0)
+        while True:
+            calA = rand_op(rng, N=3, d=2, l=4, k=2)
+            A = rand_op(rng, N=3, d=2, l=1, k=2)
+            pair = OperatorPair(calA, A, "korn")
+            try:
+                if kernel_inclusion(pair).holds:
+                    break
+            except HypothesesNotMet:
+                pass
+        cert = construct_L(pair, 6)
+        monkeypatch.setattr(analysis, "GroebnerBasis", ReferenceGroebnerBasis)
+        ref = construct_L(pair, 6)
+        assert cert.s == 4
+        assert cert == ref
+        assert serialize_op(cert.L) == serialize_op(ref.L)
 
 
 class TestZeroDimOrigin:
