@@ -27,7 +27,15 @@ from .exact import (
     subspace_intersect,
 )
 from .groebner import GroebnerBasis, TermOrder, zero_dim_origin
-from .operators import DiffOp, OperatorPair, compose, grad_power, multi_index, ordered_tuples
+from .operators import (
+    DiffOp,
+    OperatorPair,
+    compose,
+    from_symbol,
+    grad_power,
+    multi_index,
+    ordered_tuples,
+)
 
 CERTIFIED_YES = "CERTIFIED_YES"
 CERTIFIED_NO = "CERTIFIED_NO"
@@ -430,28 +438,28 @@ def construct_L(
     sym_A = A.symbol()
     for s in range(0, s_max + 1):
         order_L = s + A.k - calA.k
-        coeff_rows = _factor_rows(sym_A, basis, s, order_L)
+        coeff_rows = _factor_rows(sym_A, basis, gen_rows, calA.l, s, order_L)
         if coeff_rows is None:
             continue
-        L = _assemble_L(pair, coeff_rows, gen_rows, s, order_L)
-        lhs = compose(grad_power(s, A.l, N), A).symbol()
-        rhs = L.symbol() @ sym_calA
-        if lhs != rhs:
+        L = from_symbol(f"L[{calA.name}->{A.name},s={s}]", PolyMatrix(coeff_rows), order_L)
+        if grad_power(s, A.l, N).symbol() @ sym_A != L.symbol() @ sym_calA:
             raise AssertionError("factorization identity failed exact verification")
         return FactorizationCertificate(s=s, L=L, verified=True)
     raise SMaxExceeded(s_max)
 
 
-def _factor_rows(sym_A, basis, s, degree):
-    """Coefficients of every row xi^b A_i over the generators, or None.
+def _factor_rows(sym_A, basis, gen_rows, width, s, degree):
+    """Coefficient rows of every row xi^b A_i over the rows of calA, or None.
 
     Each target depends on the monomial xi^b only, so it is expressed once
     per monomial; the rows come out in the row order of D^s, tuple b first,
-    then i. The target is homogeneous of degree `degree` plus the
-    generators' degree, so the degree-`degree` component of any
-    representation still represents it.
+    then i. A generator's coefficient goes to the column of its row
+    `gen_rows[j]` of calA; the other `width` columns stay zero. The target
+    is homogeneous of degree `degree` plus the generators' degree, so the
+    degree-`degree` component of any representation still represents it.
     """
     N = sym_A.nvars
+    zero = MultiPoly.zero(N)
     by_monomial = {}
     for exp in monomials_of_degree(N, s):
         mono = MultiPoly.monomial(N, exp)
@@ -460,28 +468,14 @@ def _factor_rows(sym_A, basis, s, degree):
             coeffs = basis.express(tuple(mono * p for p in entries))
             if coeffs is None:
                 return None
-            rows.append([c.homogeneous_component(degree) for c in coeffs])
+            row = [zero] * width
+            for j, c in zip(gen_rows, coeffs):
+                row[j] = c.homogeneous_component(degree)
+            rows.append(row)
         by_monomial[exp] = rows
     return [
         row for b in ordered_tuples(N, s) for row in by_monomial[multi_index(b, N)]
     ]
-
-
-def _assemble_L(pair, coeff_rows, gen_rows, s, order_L):
-    calA = pair.calA
-    N, l_calA = calA.N, calA.l
-    n_rows = len(coeff_rows)
-    terms: dict = {}
-    for r, homog in enumerate(coeff_rows):
-        for j_local, c in enumerate(homog):
-            j = gen_rows[j_local]
-            for exp, coef in c.terms.items():
-                m = terms.setdefault(
-                    exp, [[Fraction(0)] * l_calA for _ in range(n_rows)]
-                )
-                m[r][j] += coef
-    return DiffOp(f"L[{pair.calA.name}->{pair.A.name},s={s}]",
-                  N, l_calA, n_rows, order_L, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -607,16 +601,7 @@ def construct_annihilator(
     if not prod.is_zero:
         raise AssertionError("annihilator does not annihilate the symbol")
     order = 2 * op.k * rho
-    if B.is_zero:
-        b_op = None
-    else:
-        terms: dict = {}
-        for i in range(l):
-            for j in range(l):
-                for exp, c in B.entries[i][j].terms.items():
-                    m = terms.setdefault(exp, [[Fraction(0)] * l for _ in range(l)])
-                    m[i][j] += c
-        b_op = DiffOp(f"ann[{op.name}]", op.N, l, l, order, terms)
+    b_op = None if B.is_zero else from_symbol(f"ann[{op.name}]", B, order)
     return Annihilator(
         op=b_op,
         order=order,

@@ -652,7 +652,8 @@ class PolyMatrix:
             for col in ot:
                 acc = MultiPoly.zero(self.nvars)
                 for a, b in zip(row, col):
-                    acc = acc + a * b
+                    if a and b:
+                        acc = acc + a * b
                 out_row.append(acc)
             out.append(out_row)
         return PolyMatrix(out)

@@ -511,6 +511,10 @@ def bb_ratio_experiment(
         raise ParameterError(f"grid must be at least 1, got n_grid = {n_grid}")
     if seed < 0:
         raise ParameterError(f"seed must be at least 0, got seed = {seed}")
+    # |sigma|^2 = C(N+k-1, N-1) * BB_BAND^(2k) at the corner frequency of the band
+    if math.log2(math.comb(N + k - 1, N - 1)) + 2 * k * math.log2(BB_BAND) > 1000:
+        raise ParameterError(f"k = {k} is too large for N = {N}: the div^k symbol at the "
+                             f"frequency ({BB_BAND}, ..., {BB_BAND}) leaves the double range")
     _check_grid(N, n_grid)
     betas = monomials_of_degree(N, k)
     M_k = len(betas)

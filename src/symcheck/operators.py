@@ -104,16 +104,13 @@ class DiffOp:
         """The Fourier symbol as an l x d PolyMatrix, homogeneous of degree k."""
         if self._symbol is not None:
             return self._symbol
-        rows = [
-            [MultiPoly.zero(self.N) for _ in range(self.d)] for _ in range(self.l)
-        ]
+        cells = [[{} for _ in range(self.d)] for _ in range(self.l)]
         for alpha, m in self.terms.items():
-            mono = MultiPoly.monomial(self.N, alpha)
-            for i in range(self.l):
-                for j in range(self.d):
-                    if m[i][j] != 0:
-                        rows[i][j] = rows[i][j] + mono * m[i][j]
-        sym = PolyMatrix(rows)
+            for cell_row, row in zip(cells, m):
+                for cell, c in zip(cell_row, row):
+                    if c:
+                        cell[alpha] = c
+        sym = PolyMatrix([[MultiPoly(self.N, t) for t in row] for row in cells])
         object.__setattr__(self, "_symbol", sym)
         return sym
 
@@ -168,6 +165,18 @@ class OperatorPair:
 # ---------------------------------------------------------------------------
 
 
+def from_symbol(name: str, sym: PolyMatrix, k: int, weights=None) -> DiffOp:
+    """The operator of order k whose symbol is `sym`: the inverse of
+    DiffOp.symbol. Its multi-indices come in the order in which they first
+    occur when the entries are read row by row."""
+    alphas = dict.fromkeys(exp for row in sym.entries for p in row for exp in p.terms)
+    terms = {
+        alpha: [[p.terms.get(alpha, 0) for p in row] for row in sym.entries]
+        for alpha in alphas
+    }
+    return DiffOp(name, sym.nvars, sym.cols, sym.rows, k, terms, weights)
+
+
 def compose(L: DiffOp, A: DiffOp) -> DiffOp:
     """Operator composition; symbol(compose) = symbol(L) @ symbol(A)."""
     if L.N != A.N:
@@ -176,27 +185,7 @@ def compose(L: DiffOp, A: DiffOp) -> DiffOp:
         raise ValueError(
             f"composition mismatch: L acts on R^{L.d}, A maps into R^{A.l}"
         )
-    terms: dict = {}
-    for alpha, La in L.terms.items():
-        for beta, Ab in A.terms.items():
-            gamma = tuple(a + b for a, b in zip(alpha, beta))
-            prod = [
-                [
-                    sum(La[i][t] * Ab[t][j] for t in range(L.d) if La[i][t])
-                    for j in range(A.d)
-                ]
-                for i in range(L.l)
-            ]
-            if gamma in terms:
-                terms[gamma] = [
-                    [x + y for x, y in zip(r1, r2)]
-                    for r1, r2 in zip(terms[gamma], prod)
-                ]
-            else:
-                terms[gamma] = prod
-    return DiffOp(
-        f"({L.name}.{A.name})", L.N, A.d, L.l, L.k + A.k, terms
-    )
+    return from_symbol(f"({L.name}.{A.name})", L.symbol() @ A.symbol(), L.k + A.k)
 
 
 def ordered_tuples(N: int, s: int) -> list[tuple[int, ...]]:
@@ -221,35 +210,24 @@ def grad_power(s: int, e: int, N: int) -> DiffOp:
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
-    tuples = ordered_tuples(N, s)
-    l = len(tuples) * e
-    terms: dict = {}
-    for t_idx, b in enumerate(tuples):
-        m = terms.setdefault(
-            multi_index(b, N), [[Fraction(0)] * e for _ in range(l)]
-        )
-        for i in range(e):
-            m[t_idx * e + i][i] += 1
-    return DiffOp(f"D^{s}", N, e, l, s, terms)
+    zero = MultiPoly.zero(N)
+    rows = []
+    for b in ordered_tuples(N, s):
+        mono = MultiPoly.monomial(N, multi_index(b, N))
+        rows.extend([mono if j == i else zero for j in range(e)] for i in range(e))
+    return from_symbol(f"D^{s}", PolyMatrix(rows), s)
 
 
 def stack(A1: DiffOp, A2: DiffOp) -> DiffOp:
     """Vertical concatenation of two operators with identical (N, d, k)."""
     if (A1.N, A1.d, A1.k) != (A2.N, A2.d, A2.k):
         raise ValueError("stack requires identical N, d and order")
-    terms: dict = {}
-    l = A1.l + A2.l
-    zero_row = [Fraction(0)] * A1.d
-    for alpha in set(A1.terms) | set(A2.terms):
-        top = A1.terms.get(alpha, tuple(tuple(zero_row) for _ in range(A1.l)))
-        bot = A2.terms.get(alpha, tuple(tuple(zero_row) for _ in range(A2.l)))
-        terms[alpha] = [list(r) for r in top] + [list(r) for r in bot]
     w1 = A1.weights or (Fraction(1),) * A1.l
     w2 = A2.weights or (Fraction(1),) * A2.l
     weights = None
     if A1.weights is not None or A2.weights is not None:
         weights = w1 + w2
-    return DiffOp(f"[{A1.name};{A2.name}]", A1.N, A1.d, l, A1.k, terms, weights)
+    return from_symbol(f"[{A1.name};{A2.name}]", A1.symbol().stack(A2.symbol()), A1.k, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +326,8 @@ def catalog(name: str, N: int, k: Optional[int] = None) -> DiffOp:
         return DiffOp("laplacian", N, 1, 1, 2, terms)
 
     if name == "bilaplacian":
-        lap = catalog("laplacian", N)
-        op = compose(lap, lap)
-        return DiffOp("bilaplacian", N, 1, 1, 4, op.terms)
+        lap = catalog("laplacian", N).symbol()
+        return from_symbol("bilaplacian", lap @ lap, 4)
 
     if name == "cauchy_riemann":
         if N != 2:
@@ -368,8 +345,8 @@ def catalog(name: str, N: int, k: Optional[int] = None) -> DiffOp:
         )
 
     if name == "d2_laplacian":
-        op = compose(grad_power(2, 1, N), catalog("laplacian", N))
-        return DiffOp("d2_laplacian", N, 1, op.l, 4, op.terms)
+        sym = grad_power(2, 1, N).symbol() @ catalog("laplacian", N).symbol()
+        return from_symbol("d2_laplacian", sym, 4)
 
     if name == "div_k":
         if k is None:
@@ -449,11 +426,14 @@ def op_from_dict(data: dict) -> DiffOp:
     for field in ("name", "N", "d", "l", "k", "terms"):
         if field not in data:
             raise OperatorFormatError(f"missing field {field!r}")
+    if not isinstance(data["name"], str):
+        raise OperatorFormatError("name must be a string")
+    # type() and not isinstance(): JSON true and false load as bools, a subclass of int
     N, d, l, k = data["N"], data["d"], data["l"], data["k"]
     for field, value in (("N", N), ("d", d), ("l", l)):
-        if not isinstance(value, int) or value < 1:
+        if type(value) is not int or value < 1:
             raise OperatorFormatError(f"{field} must be a positive integer")
-    if not isinstance(k, int) or k < 0:
+    if type(k) is not int or k < 0:
         raise OperatorFormatError("k must be a nonnegative integer")
     if not isinstance(data["terms"], list):
         raise OperatorFormatError("terms must be a list of {alpha, matrix} objects")
@@ -465,7 +445,7 @@ def op_from_dict(data: dict) -> DiffOp:
             if field not in entry:
                 raise OperatorFormatError(f"terms[{i}] has no field {field!r}")
         alpha = entry["alpha"]
-        if not isinstance(alpha, list) or not all(isinstance(a, int) for a in alpha):
+        if not isinstance(alpha, list) or not all(type(a) is int for a in alpha):
             raise OperatorFormatError(f"terms[{i}].alpha must be a list of integers")
         alpha = tuple(alpha)
         matrix = entry["matrix"]

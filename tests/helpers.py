@@ -36,9 +36,10 @@ from symcheck.operators import (
     DiffOp,
     OperatorPair,
     catalog,
-    compose,
     grad_power,
+    multi_index,
     ordered_tuples,
+    serialize_op,
 )
 
 
@@ -458,6 +459,98 @@ def reference_bb_ratio_experiment(k, N, trials, n_grid, seed=0, band=4, n_modes=
 
 
 # ---------------------------------------------------------------------------
+# reference implementations of the operator constructions as they were
+# before every derived operator was built from its symbol: coefficient
+# matrices multiplied, accumulated and merged one multi-index at a time,
+# and a symbol summed up one monomial at a time; the differential tests
+# compare the library with them
+# ---------------------------------------------------------------------------
+
+
+def reference_symbol(op):
+    rows = [[MultiPoly.zero(op.N) for _ in range(op.d)] for _ in range(op.l)]
+    for alpha, m in op.terms.items():
+        mono = MultiPoly.monomial(op.N, alpha)
+        for i in range(op.l):
+            for j in range(op.d):
+                if m[i][j] != 0:
+                    rows[i][j] = rows[i][j] + mono * m[i][j]
+    return PolyMatrix(rows)
+
+
+def reference_compose(L, A):
+    terms = {}
+    for alpha, La in L.terms.items():
+        for beta, Ab in A.terms.items():
+            gamma = tuple(a + b for a, b in zip(alpha, beta))
+            prod = [
+                [sum(La[i][t] * Ab[t][j] for t in range(L.d) if La[i][t]) for j in range(A.d)]
+                for i in range(L.l)
+            ]
+            if gamma in terms:
+                terms[gamma] = [
+                    [x + y for x, y in zip(r1, r2)] for r1, r2 in zip(terms[gamma], prod)
+                ]
+            else:
+                terms[gamma] = prod
+    return DiffOp(f"({L.name}.{A.name})", L.N, A.d, L.l, L.k + A.k, terms)
+
+
+def reference_grad_power(s, e, N):
+    tuples = ordered_tuples(N, s)
+    l = len(tuples) * e
+    terms = {}
+    for t_idx, b in enumerate(tuples):
+        m = terms.setdefault(multi_index(b, N), [[Fraction(0)] * e for _ in range(l)])
+        for i in range(e):
+            m[t_idx * e + i][i] += 1
+    return DiffOp(f"D^{s}", N, e, l, s, terms)
+
+
+def reference_stack(A1, A2):
+    terms = {}
+    zero_row = [Fraction(0)] * A1.d
+    for alpha in set(A1.terms) | set(A2.terms):
+        top = A1.terms.get(alpha, tuple(tuple(zero_row) for _ in range(A1.l)))
+        bot = A2.terms.get(alpha, tuple(tuple(zero_row) for _ in range(A2.l)))
+        terms[alpha] = [list(r) for r in top] + [list(r) for r in bot]
+    weights = None
+    if A1.weights is not None or A2.weights is not None:
+        weights = (A1.weights or (Fraction(1),) * A1.l) + (A2.weights or (Fraction(1),) * A2.l)
+    return DiffOp(f"[{A1.name};{A2.name}]", A1.N, A1.d, A1.l + A2.l, A1.k, terms, weights)
+
+
+def reference_annihilator_op(B, name, order):
+    """The operator of the matrix polynomial B, one zero matrix per
+    multi-index."""
+    l = B.rows
+    terms = {}
+    for i in range(l):
+        for j in range(l):
+            for exp, c in B.entries[i][j].terms.items():
+                m = terms.setdefault(exp, [[Fraction(0)] * l for _ in range(l)])
+                m[i][j] += c
+    return DiffOp(name, B.nvars, l, l, order, terms)
+
+
+def entry_term_orders(sym):
+    """The order of the terms in every entry of a PolyMatrix."""
+    return [[list(p.terms) for p in row] for row in sym.entries]
+
+
+def assert_same_operator(op, ref, same_order=True):
+    """Equal operators, serializations and symbols; the symbol entries list
+    their terms in the reference construction's order, and so do the
+    operators themselves when `same_order`."""
+    assert op == ref
+    assert serialize_op(op) == serialize_op(ref)
+    assert op.symbol() == reference_symbol(ref)
+    assert entry_term_orders(op.symbol()) == entry_term_orders(reference_symbol(op))
+    if same_order:
+        assert list(op.terms) == list(ref.terms)
+
+
+# ---------------------------------------------------------------------------
 # reference implementations of the certificates as they were built before
 # each factorization target was expressed once per monomial with one final
 # check of D^s A = L calA, before the lift lost its s = 0 branch and before
@@ -487,7 +580,7 @@ def reference_construct_L(pair, s_max=6):
         if coeff_rows is None:
             continue
         L = _reference_assemble_L(pair, coeff_rows, gen_rows, s)
-        lhs = compose(grad_power(s, A.l, N), A).symbol()
+        lhs = reference_compose(reference_grad_power(s, A.l, N), A).symbol()
         assert lhs == L.symbol() @ sym_calA
         return FactorizationCertificate(s=s, L=L, verified=True)
     raise SMaxExceeded(s_max)
@@ -555,7 +648,7 @@ def reference_polynomial_lift(A, pi):
         comp = [p.homogeneous_component(s) for p in pi]
         if all(p.is_zero for p in comp):
             continue
-        T = compose(grad_power(s, A.l, N), A) if s > 0 else A
+        T = reference_compose(reference_grad_power(s, A.l, N), A) if s > 0 else A
         if s == 0:
             c = [p.terms.get((0,) * N, Fraction(0)) for p in comp]
         else:
@@ -603,15 +696,7 @@ def reference_annihilator(op, seed=0):
     B = B.scale(Fraction(sign))
     assert (B @ sym).is_zero
     order = 2 * op.k * rho
-    b_op = None
-    if not B.is_zero:
-        terms = {}
-        for i in range(l):
-            for j in range(l):
-                for exp, c in B.entries[i][j].terms.items():
-                    m = terms.setdefault(exp, [[Fraction(0)] * l for _ in range(l)])
-                    m[i][j] += c
-        b_op = DiffOp(f"ann[{op.name}]", op.N, l, l, order, terms)
+    b_op = None if B.is_zero else reference_annihilator_op(B, f"ann[{op.name}]", order)
     return Annihilator(op=b_op, order=order, charpoly_coeffs=tuple(shifted),
                        m=l, sign=sign)
 

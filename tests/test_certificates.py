@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from symcheck import analysis
 from symcheck.analysis import (
     DegenerateCharpoly,
     HypothesesNotMet,
@@ -18,16 +19,18 @@ from symcheck.exact import MultiPoly
 from symcheck.operators import (
     OperatorPair,
     catalog,
+    from_symbol,
     grad_power,
     multi_index,
     ordered_tuples,
-    serialize_op,
 )
 from helpers import (
+    assert_same_operator,
     catalog_pair_grid,
     rand_op,
     rand_poly,
     reference_annihilator,
+    reference_annihilator_op,
     reference_construct_L,
     reference_polynomial_lift,
     tf_sym_gradient,
@@ -38,7 +41,7 @@ def assert_same_certificate(pair):
     cert = construct_L(pair, 6)
     ref = reference_construct_L(pair, 6)
     assert cert == ref
-    assert serialize_op(cert.L) == serialize_op(ref.L)
+    assert_same_operator(cert.L, ref.L)
     return cert
 
 
@@ -136,7 +139,18 @@ class TestLiftMatchesReference:
 
 
 class TestAnnihilatorMatchesReference:
-    def test_catalog_and_random_operators(self):
+    def test_catalog_and_random_operators(self, monkeypatch):
+        # the matrix polynomial B each annihilator is built from, to convert
+        # it the reference way too: the reference computes another B, equal
+        # but with its terms in another order
+        converted = []
+
+        def recording_from_symbol(name, sym, k):
+            op = from_symbol(name, sym, k)
+            converted.append((op, reference_annihilator_op(sym, name, k)))
+            return op
+
+        monkeypatch.setattr(analysis, "from_symbol", recording_from_symbol)
         ops = [catalog(n, N) for n, N in [
             ("gradient", 2), ("gradient", 3), ("divergence", 2), ("curl", 3),
             ("sym_gradient", 2), ("sym_gradient", 3), ("laplacian", 2),
@@ -154,7 +168,10 @@ class TestAnnihilatorMatchesReference:
             ref = reference_annihilator(op)
             assert ann == ref
             if ann.op is not None:
-                assert serialize_op(ann.op) == serialize_op(ref.op)
+                assert_same_operator(ann.op, ref.op, same_order=False)
+                op, by_reference = converted.pop()
+                assert op is ann.op
+                assert_same_operator(op, by_reference)
             built += 1
         assert built >= 10
 

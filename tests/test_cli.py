@@ -126,6 +126,32 @@ class TestMalformedInput:
         code, err = self.run(tmp_path, capsys, data)
         assert code == 4 and "alpha" in err
 
+    @pytest.mark.parametrize("field", ["N", "d", "l", "k"])
+    def test_boolean_size(self, tmp_path, capsys, field):
+        data = {"name": "t", "N": 1, "d": 1, "l": 1, "k": 1,
+                "terms": [{"alpha": [1], "matrix": [["1"]]}]}
+        data[field] = True
+        code, err = self.run(tmp_path, capsys, data)
+        assert code == 4 and f"{field} must be a" in err
+
+    def test_boolean_alpha(self, tmp_path, capsys):
+        data = {"name": "t", "N": 1, "d": 1, "l": 1, "k": 1,
+                "terms": [{"alpha": [True], "matrix": [["1"]]}]}
+        code, err = self.run(tmp_path, capsys, data)
+        assert code == 4 and "alpha" in err
+
+    def test_all_booleans(self, tmp_path, capsys):
+        data = {"name": "t", "N": True, "d": True, "l": 1, "k": True,
+                "terms": [{"alpha": [True], "matrix": [["1"]]}]}
+        code, err = self.run(tmp_path, capsys, data)
+        assert code == 4 and "N must be a positive integer" in err
+
+    def test_non_string_name(self, tmp_path, capsys):
+        data = self.gradient_dict()
+        data["name"] = 5
+        code, err = self.run(tmp_path, capsys, data)
+        assert code == 4 and "name must be a string" in err
+
     def test_negative_weights(self, tmp_path, capsys):
         data = op_to_dict(catalog("sym_gradient", 2))
         data["weights"] = ["-1", "1", "2"]
@@ -332,6 +358,8 @@ class TestExperimentSizes:
         ("bb", ["--seed", "-1"], "seed must be at least 0"),
         ("sobolev", ["--seed", "-1"], "seed must be at least 0"),
         ("sobolev", ["--s-max", "-2"], "--s-max must be at least 0"),
+        ("bb", ["--N", "2", "--k", "260", "--grid", "4", "--trials", "1"], "k = 260 is too large"),
+        ("bb", ["--k", "1000"], "k = 1000 is too large"),
     ])
     def test_exit_4(self, ops_dir, capsys, kind, flags, reason):
         save_op(grad_power(0, 1, 2), ops_dir / "id2.json")

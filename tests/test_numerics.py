@@ -13,6 +13,7 @@ from symcheck.numerics import (
     GridBudgetExceeded,
     GridField,
     NyquistViolation,
+    ParameterError,
     PlaneWaveFamily,
     TrigField,
     InclusionFails,
@@ -183,6 +184,15 @@ class TestBBExperiment:
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             bb_ratio_experiment(1, 1, trials=1)
+
+    def test_order_bound(self):
+        # |sigma|^2 = (k + 1) * 4^(2k) at the corner frequency in N = 2:
+        # 2^999.96 for k = 248, past 2^1000 from k = 249 on
+        rep = bb_ratio_experiment(248, 2, trials=1, n_grid=4)
+        assert all(math.isfinite(t["ratio"]) for t in rep.trials)
+        for k in (249, 1000):
+            with pytest.raises(ParameterError, match=f"k = {k} is too large"):
+                bb_ratio_experiment(k, 2, trials=1, n_grid=4)
 
 
 class TestGridBudget:

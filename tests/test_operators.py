@@ -10,6 +10,7 @@ from symcheck.operators import (
     OperatorPair,
     catalog,
     compose,
+    from_symbol,
     grad_power,
     multiindex_count,
     op_from_dict,
@@ -18,7 +19,17 @@ from symcheck.operators import (
     serialize_op,
     stack,
 )
-from helpers import rand_op, rand_point, rand_poly
+from helpers import (
+    assert_same_operator,
+    entry_term_orders,
+    rand_op,
+    rand_point,
+    rand_poly,
+    reference_compose,
+    reference_grad_power,
+    reference_stack,
+    reference_symbol,
+)
 
 
 class TestDiffOp:
@@ -178,6 +189,67 @@ class TestStack:
         for i in range(2):
             for j in range(g.d):
                 assert sym.entries[i][j] == sym.entries[i + 2][j]
+
+
+class TestMatchesReference:
+    """Operators built from their symbols against the reference
+    constructions in helpers.py, which multiply and merge coefficient
+    matrices: equal operators, serializations and symbols; D^s and the
+    catalog composites also list their multi-indices in the same order."""
+
+    def test_symbol(self):
+        rng = random.Random(36)
+        for _ in range(40):
+            op = rand_op(rng, N=rng.randint(1, 3), d=rng.randint(1, 3), l=rng.randint(1, 3))
+            assert op.symbol() == reference_symbol(op)
+            assert entry_term_orders(op.symbol()) == entry_term_orders(reference_symbol(op))
+
+    def test_from_symbol_inverts_symbol(self):
+        rng = random.Random(37)
+        for _ in range(40):
+            op = rand_op(rng, N=rng.randint(1, 3), d=rng.randint(1, 3), l=rng.randint(1, 3))
+            assert from_symbol(op.name, op.symbol(), op.k) == op
+
+    def test_compose(self):
+        rng = random.Random(38)
+        built = 0
+        while built < 40:
+            A = rand_op(rng, N=rng.randint(2, 3), d=rng.randint(1, 3), l=rng.randint(1, 3))
+            L = rand_op(rng, N=A.N, d=A.l, l=rng.randint(1, 3))
+            try:
+                ref = reference_compose(L, A)
+            except OperatorFormatError:  # the product symbol is zero
+                with pytest.raises(OperatorFormatError):
+                    compose(L, A)
+                continue
+            assert_same_operator(compose(L, A), ref, same_order=False)
+            built += 1
+
+    @pytest.mark.parametrize("s,e,N", [(0, 1, 1), (0, 3, 2), (1, 2, 2), (2, 1, 3),
+                                       (2, 3, 3), (3, 2, 2), (4, 1, 3)])
+    def test_grad_power(self, s, e, N):
+        assert_same_operator(grad_power(s, e, N), reference_grad_power(s, e, N))
+
+    def test_stack(self):
+        rng = random.Random(39)
+        for _ in range(40):
+            N, d, k = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 2)
+            A1 = rand_op(rng, N=N, d=d, k=k, l=rng.randint(1, 3))
+            A2 = rand_op(rng, N=N, d=d, k=k, l=rng.randint(1, 3))
+            assert_same_operator(stack(A1, A2), reference_stack(A1, A2), same_order=False)
+        sg, D = catalog("sym_gradient", 3), grad_power(1, 3, 3)
+        for A1, A2 in ((sg, D), (D, sg), (sg, sg)):  # weights on one side or both
+            assert_same_operator(stack(A1, A2), reference_stack(A1, A2), same_order=False)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_catalog_composites(self, N):
+        lap = catalog("laplacian", N)
+        bilap = reference_compose(lap, lap)
+        assert_same_operator(catalog("bilaplacian", N),
+                             DiffOp("bilaplacian", N, 1, 1, 4, bilap.terms))
+        d2lap = reference_compose(reference_grad_power(2, 1, N), lap)
+        assert_same_operator(catalog("d2_laplacian", N),
+                             DiffOp("d2_laplacian", N, 1, d2lap.l, 4, d2lap.terms))
 
 
 class TestSerialization:
