@@ -14,8 +14,9 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .exact import (
     MultiPoly,
@@ -43,6 +44,7 @@ UNCERTIFIED_YES = "UNCERTIFIED_YES"
 
 REAL_SAMPLE_BUDGET = 10_000
 STABLE_ROUNDS = 8
+SAMPLE_BLOCK = 2048  # most grid points in a block; words per variable of a random block
 DEFAULT_S_MAX = 6
 
 
@@ -183,13 +185,26 @@ def _sphere_like_grid(N: int, radius: int):
 
 
 def _sample_points(rng: random.Random, N: int, grid_radius: int, radius: int):
-    """Nonzero integer points without end: the shell grid of `grid_radius`,
-    then random points with coordinates in [-radius, radius]."""
-    yield from _sphere_like_grid(N, grid_radius)
+    """Nonzero integer points without end, in int64 blocks of shape (n, N):
+    the shell grid of `grid_radius`, one shell or less per block so that an
+    early stop builds little of it, then the points of ``tuple(rng.randint(
+    -radius, radius) for _ in range(N))`` in order, from the same stream: in
+    CPython 3.10 to 3.13, randint(a, b) is a + r, r the top k bits of a
+    Mersenne Twister word (k the bit length of b - a + 1), redrawn while
+    r > b - a, and getrandbits(32 n) is the next n words, lowest first."""
+    grid = _sphere_like_grid(N, grid_radius)
+    for _, shell in itertools.groupby(grid, lambda p: max(map(abs, p))):
+        while block := list(itertools.islice(shell, SAMPLE_BLOCK)):
+            yield np.array(block, dtype=np.int64)
+    width, words = 2 * radius + 1, SAMPLE_BLOCK * N
+    carry = np.empty(0, dtype=np.int64)  # coordinates of a row the last block began
     while True:
-        p = tuple(rng.randint(-radius, radius) for _ in range(N))
-        if any(p):
-            yield p
+        draw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        r = np.frombuffer(draw, "<u4") >> (32 - width.bit_length())
+        coords = np.concatenate((carry, r[r < width].astype(np.int64) - radius))
+        n = len(coords) // N
+        carry, block = coords[n * N:], coords[:n * N].reshape(n, N)
+        yield block[block.any(axis=1)]
 
 
 def generic_rank(sym: PolyMatrix) -> int:
@@ -235,9 +250,7 @@ def rank_profile(
     elif not want_real:
         const_R, witness = UNCERTIFIED_YES, None
     else:
-        const_R, witness = _real_constant_rank(
-            sym, rho_minors, REAL_SAMPLE_BUDGET, seed
-        )
+        const_R, witness = _real_constant_rank(sym, rho_minors, REAL_SAMPLE_BUDGET, seed)
     return RankProfile(
         generic_rank=rho,
         kernel_dim=op.d - rho,
@@ -252,30 +265,39 @@ def _real_constant_rank(sym, rho_minors, budget, seed):
     radius-3 grid, then random points of radius 50, `budget` points in all
     (at least one)."""
     vanish = _vanishing_test(rho_minors)
-    points = _sample_points(random.Random(seed), sym.nvars, 3, 50)
-    for point in itertools.islice(points, max(budget, 1)):
-        if vanish(point):
-            return CERTIFIED_NO, tuple(Fraction(c) for c in point)
-    return UNCERTIFIED_YES, None
+    left = max(budget, 1)
+    for block in _sample_points(random.Random(seed), sym.nvars, 3, 50):
+        block = block[:left]
+        hits = vanish(block)
+        if hits.any():
+            return CERTIFIED_NO, tuple(map(Fraction, block[hits.argmax()].tolist()))
+        left -= len(block)
+        if not left:
+            return UNCERTIFIED_YES, None
 
 
 def _vanishing_test(minors):
-    """Predicate on integer points: do all the minors vanish there?
-
-    Each minor is scaled once by the lcm of its coefficient denominators
-    and evaluated in Python ints, which is exact: an integer multiple of a
-    value is zero iff the value is.
-    """
+    """Mask over the rows of an integer block: do all the minors vanish there?
+    Each minor, scaled by the lcm of its denominators, is evaluated exactly:
+    in int64 when sum |c| * R^D < 2^63 (R the block's largest |coordinate|, D
+    the degree), so that nothing wraps silently, else in Python ints (dtype
+    object), and only on the rows where the earlier minors vanish."""
     scaled = []
-    for m in minors:
+    for m in filter(None, minors):  # a zero minor vanishes everywhere
         lcm = math.lcm(*(c.denominator for c in m.terms.values()))
-        scaled.append(([int(c * lcm) for c in m.terms.values()], list(m.terms)))
+        coeffs = [int(c * lcm) for c in m.terms.values()]
+        scaled.append((np.array(coeffs, dtype=object), np.array(list(m.terms), dtype=object),
+                       sum(map(abs, coeffs)), max(map(sum, m.terms))))
 
-    def vanish(point):
-        return not any(
-            sum(map(mul, coeffs, [math.prod(map(pow, point, e)) for e in exps]))
-            for coeffs, exps in scaled
-        )
+    def vanish(points):
+        alive = np.ones(len(points), dtype=bool)
+        R = int(np.abs(points).max(initial=0))
+        for coeffs, exps, size, degree in scaled:
+            rows = np.flatnonzero(alive)
+            dtype = np.int64 if size * R ** degree < 2 ** 63 else object
+            powers = points[rows].astype(dtype)[:, None, :] ** exps.astype(dtype)
+            alive[rows[np.prod(powers, axis=2) @ coeffs.astype(dtype) != 0]] = False
+        return alive
 
     return vanish
 
@@ -505,7 +527,8 @@ def compute_W(
     l = op.l
     current: Optional[list] = None
     stable = 0
-    for p in _sample_points(random.Random(seed), op.N, 2, 20):
+    blocks = _sample_points(random.Random(seed), op.N, 2, 20)
+    for p in itertools.chain.from_iterable(block.tolist() for block in blocks):
         M = sym.evaluate(tuple(Fraction(c) for c in p))
         if M.rank() != rho:
             continue

@@ -37,6 +37,7 @@ from .analysis import (
     rank_profile,
 )
 from .numerics import (
+    FieldBudgetExceeded,
     GridBudgetExceeded,
     InclusionFails,
     IllConditionedQuotient,
@@ -243,6 +244,7 @@ EXPERIMENT_FAILURES = {
     SMaxExceeded: ("S_MAX_EXCEEDED", EXIT_BUDGET, False),
     SampleBudgetExceeded: ("SAMPLE_BUDGET_EXCEEDED", EXIT_BUDGET, False),
     GridBudgetExceeded: ("GRID_BUDGET_EXCEEDED", EXIT_BUDGET, True),
+    FieldBudgetExceeded: ("FIELD_BUDGET_EXCEEDED", EXIT_BUDGET, True),
     NyquistViolation: ("NYQUIST_VIOLATION", EXIT_INPUT, True),
     IllConditionedQuotient: ("ILL_CONDITIONED_QUOTIENT", EXIT_INPUT, True),
 }

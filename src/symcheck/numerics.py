@@ -51,6 +51,15 @@ class GridBudgetExceeded(Exception):
         )
 
 
+# Most bytes of D phi, bb_ratio_experiment's largest array (a double per grid
+# point, component and derivative); more raises FieldBudgetExceeded (exit 3).
+BB_FIELD_MAX_BYTES = 1 << 28
+
+
+class FieldBudgetExceeded(Exception):
+    """D phi of a bb experiment would take more than BB_FIELD_MAX_BYTES."""
+
+
 def _check_grid(N: int, n: int) -> None:
     if n ** N > GRID_MAX_POINTS:
         raise GridBudgetExceeded(N, n)
@@ -511,13 +520,18 @@ def bb_ratio_experiment(
         raise ParameterError(f"grid must be at least 1, got n_grid = {n_grid}")
     if seed < 0:
         raise ParameterError(f"seed must be at least 0, got seed = {seed}")
+    M_k = math.comb(N + k - 1, N - 1)
     # |sigma|^2 = C(N+k-1, N-1) * BB_BAND^(2k) at the corner frequency of the band
-    if math.log2(math.comb(N + k - 1, N - 1)) + 2 * k * math.log2(BB_BAND) > 1000:
+    if math.log2(M_k) + 2 * k * math.log2(BB_BAND) > 1000:
         raise ParameterError(f"k = {k} is too large for N = {N}: the div^k symbol at the "
                              f"frequency ({BB_BAND}, ..., {BB_BAND}) leaves the double range")
     _check_grid(N, n_grid)
+    size = 8 * n_grid ** N * M_k * N
+    if size > BB_FIELD_MAX_BYTES:
+        raise FieldBudgetExceeded(
+            f"D phi of {n_grid}^{N} = {n_grid ** N} points x {M_k} components x {N} derivatives "
+            f"in doubles = {size} bytes exceeds the budget of {BB_FIELD_MAX_BYTES} bytes")
     betas = monomials_of_degree(N, k)
-    M_k = len(betas)
     rng = np.random.default_rng(seed)
     report = ExperimentReport(
         name="bb_ratio_experiment",

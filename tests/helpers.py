@@ -191,6 +191,17 @@ def _minor_rank_at(minors_by_size, point) -> bool:
     return all(m.evaluate(point) == 0 for m in minors_by_size)
 
 
+def reference_random_points(seed, nvars, radius, count):
+    """The first `count` nonzero points of the per-coordinate randint loop."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        p = tuple(rng.randint(-radius, radius) for _ in range(nvars))
+        if any(p):
+            points.append(p)
+    return points
+
+
 def reference_real_constant_rank(rho_minors, nvars, budget, seed):
     """(status, witness) of the Fraction sampling loop."""
     rng = random.Random(seed)

@@ -3,15 +3,19 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from symcheck.exact import MultiPoly, PolyMatrix, ScalarMatrix, monomials_of_degree
 from symcheck.cli import main
 from symcheck.analysis import (
     _real_constant_rank,
+    _sample_points,
     _sphere_like_grid,
     CERTIFIED_NO,
     CERTIFIED_YES,
+    REAL_SAMPLE_BUDGET,
+    SAMPLE_BLOCK,
     UNCERTIFIED_YES,
     HypothesesNotMet,
     NotInImage,
@@ -47,6 +51,7 @@ from helpers import (
     rand_point,
     rand_poly,
     reference_is_elliptic,
+    reference_random_points,
     reference_real_constant_rank,
 )
 
@@ -70,6 +75,37 @@ class TestSphereLikeGrid:
         first = list(itertools.islice(_sphere_like_grid(40, 3), 4))
         assert len(first) == 4
         assert all(max(map(abs, p)) == 1 and len(p) == 40 for p in first)
+
+
+class TestSamplePoints:
+    @pytest.mark.parametrize("N", [1, 2, 3, 40])
+    @pytest.mark.parametrize("radius", [1, 20, 50])
+    def test_random_rows_are_the_randint_stream(self, N, radius):
+        # read from Mersenne Twister words a block at a time, the points are
+        # those of the randint loop, in its order, over several blocks; a
+        # Python whose randint draws otherwise fails here
+        count = 2 * SAMPLE_BLOCK + 5
+        for seed in (0, 7, 2 ** 40 + 3):
+            rows, blocks = [], 0
+            for block in _sample_points(random.Random(seed), N, 0, radius):
+                assert block.dtype == np.int64 and block.shape[1:] == (N,)
+                rows += map(tuple, block.tolist())
+                blocks += 1
+                if len(rows) >= count:
+                    break
+            assert blocks >= 3
+            assert rows[:count] == reference_random_points(seed, N, radius, count), (
+                f"random.randint no longer draws as the sampler assumes (seed {seed})")
+
+    def test_grid_comes_first_a_shell_at_most_per_block(self):
+        blocks = _sample_points(random.Random(0), 3, 3, 50)
+        grid = [next(blocks) for _ in range(3)]  # 26, 98 and 218 points
+        assert [set(np.abs(b).max(axis=1).tolist()) for b in grid] == [{1}, {2}, {3}]
+        assert [tuple(p) for b in grid for p in b.tolist()] == list(_sphere_like_grid(3, 3))
+        assert list(map(tuple, next(blocks).tolist()[:3])) == reference_random_points(0, 3, 50, 3)
+        # a shell of more than SAMPLE_BLOCK points is split: 3^8 - 1 in shell 1
+        sizes = [len(b) for b in itertools.islice(_sample_points(random.Random(0), 8, 1, 50), 4)]
+        assert sizes == [SAMPLE_BLOCK] * 3 + [3 ** 8 - 1 - 3 * SAMPLE_BLOCK]
 
 
 class TestRankProfile:
@@ -229,11 +265,37 @@ class TestEllipticFromProfile:
         sym = op.symbol()
         rho = rank_profile(op, want_real=False).generic_rank
         minors = [m for m in sym.minors(rho) if not m.is_zero]
-        for budget in (0, 1, 60, 400):
+        grid = 7 ** op.N - 1  # the radius-3 grid; 5000 points reach the third random block
+        for budget in (0, 1, 60, grid, grid + 1, 400, 5000):
             for seed in (0, 3):
                 assert _real_constant_rank(sym, minors, budget, seed) == (
                     reference_real_constant_rank(minors, op.N, budget, seed)
                 )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_high_powers_do_not_wrap(self, seed):
+        # xi_1^16 + xi_2^16 has no real zero but 16^16 = 2^64: in wrapping
+        # int64 it would "vanish" at (+-16, 0), (0, +-32), (+-48, 0), ...
+        op = DiffOp("xi_1^16 + xi_2^16", 2, 1, 1, 16, {(16, 0): [[1]], (0, 16): [[1]]})
+        profile = rank_profile(op, seed=seed)
+        assert profile.constant_rank_R == UNCERTIFIED_YES and profile.real_witness is None
+        minors = op.symbol().minors(1)
+        assert reference_real_constant_rank(minors, 2, REAL_SAMPLE_BUDGET, seed) == (
+            UNCERTIFIED_YES, None)
+
+    def test_witness_in_a_later_random_block(self):
+        # the only points of the planted line within radius 50 are +-(13, -29):
+        # seed 0 meets (13, -29) as point 4121, seed 2 as point 9712, both
+        # after the 48 grid points and a random block or more
+        op = rand_pencil(random.Random(0), 2, planted=(13, -29))
+        sym = op.symbol()
+        minors = sym.minors(1)
+        for seed, first in ((0, 4121), (2, 9712)):
+            for budget in (first - 1, first, REAL_SAMPLE_BUDGET):
+                expected = reference_real_constant_rank(minors, 2, budget, seed)
+                assert _real_constant_rank(sym, minors, budget, seed) == expected
+                assert expected == ((CERTIFIED_NO, (13, -29)) if budget >= first
+                                    else (UNCERTIFIED_YES, None))
 
     def test_witness_is_a_real_rank_drop(self):
         op = rand_pencil(random.Random(2), 3, planted=(2, -1, 3))
@@ -445,6 +507,21 @@ class TestCancellation:
         assert main(["analyze", "--op", str(tmp_path / "op.json"), "--out", str(out)]) == 0
         results = json.loads(out.read_text())["results"]
         assert results["cancelling"] is False and results["dim_W"] == 1
+
+    def test_sampling_past_the_grid(self):
+        # p vanishes on the 8 lines through the 24 points of the radius-2
+        # grid, so the symbol p (1, 1) has rank 0 there: W = span (1, 1) is
+        # seen only at the random points that follow
+        x1, x2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        p = x1 * x2
+        for a, b in ((1, 1), (1, 2), (2, 1)):
+            p = p * (x1 * a - x2 * b) * (x1 * a + x2 * b)
+        assert all(p.evaluate(xi) == 0 for xi in _sphere_like_grid(2, 2))
+        op = DiffOp("p (1, 1)", 2, 1, 2, 8, {e: [[c], [c]] for e, c in p.terms.items()})
+        rep = compute_W(op)
+        assert not rep.cancelling and len(rep.W_basis) == 1
+        (w,) = rep.W_basis
+        assert w[0] == w[1] != 0
 
     def test_projector_annihilates_W(self):
         rep = compute_W(catalog("divergence", 2))

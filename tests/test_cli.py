@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import symcheck
-from symcheck import analysis
+from symcheck import analysis, numerics
 from symcheck.cli import main
 from symcheck.operators import DiffOp, catalog, grad_power, op_to_dict, save_op
 from helpers import grid_hiding_pair
@@ -395,6 +395,22 @@ class TestExperimentSizes:
         assert points in capsys.readouterr().out
         rep = read(out)
         assert rep["status"] == "GRID_BUDGET_EXCEEDED" and points in rep["results"]["detail"]
+
+    def test_field_budget_exit_3(self, tmp_path, capsys, monkeypatch):
+        # 16^4 points pass the grid cap, but D phi would take about 11 GB:
+        # refused before the grid or the div^k symbol is built
+        def refuse(*args):
+            raise AssertionError("bb started work on a field past the budget")
+        monkeypatch.setattr(numerics, "grid_points", refuse)
+        monkeypatch.setattr(numerics, "monomials_of_degree", refuse)
+        out = tmp_path / "r.json"
+        code = main(["experiment", "bb", "--N", "4", "--k", "30", "--grid", "16",
+                     "--out", str(out)])
+        assert code == 3
+        size = "16^4 = 65536 points x 5456 components x 4 derivatives in doubles = 11442061312 bytes"
+        assert size in capsys.readouterr().out
+        rep = read(out)
+        assert rep["status"] == "FIELD_BUDGET_EXCEEDED" and size in rep["results"]["detail"]
 
 
 class TestCatalogCommand:
