@@ -8,6 +8,7 @@ rerunning a command reproduces the output byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -62,12 +63,8 @@ MULTIINDEX_NOTE = (
 )
 
 
-def _scalar_str(c) -> str:
-    return str(Fraction(c))
-
-
 def _vector_json(vec):
-    return [_scalar_str(c) for c in vec]
+    return [str(Fraction(c)) for c in vec]
 
 
 def _witness_json(w) -> dict:
@@ -105,19 +102,32 @@ def emit(report: dict, out_path, summary_lines) -> None:
         print(text)
 
 
+def _input_error(message) -> int:
+    print(f"input error: {message}", file=sys.stderr)
+    return EXIT_INPUT
+
+
 def _load(path) -> DiffOp:
     try:
         return load_op(path)
     except FileNotFoundError:
         raise OperatorFormatError(f"operator file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise OperatorFormatError(f"cannot read operator file {path}: {exc}")
+
+
+def _pair(args, config: dict) -> OperatorPair:
+    config.update({"calA": str(args.calA), "A": str(args.A)})
+    return OperatorPair(calA=_load(args.calA), A=_load(args.A), mode=args.mode)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each report command returns (config, operators, results,
+# status, exit code, summary lines), and main writes the report
 # ---------------------------------------------------------------------------
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args):
     op = _load(args.op)
     config = {"op": str(args.op), "seed": args.seed}
     profile = rank_profile(op, seed=args.seed)
@@ -141,30 +151,20 @@ def cmd_analyze(args) -> int:
         "W_basis": [_vector_json(w) for w in cancel.W_basis],
         "notes": [MULTIINDEX_NOTE],
     }
-    report = make_report("analyze", config, {"op": op}, results, "OK")
-    emit(report, args.out, [
+    return config, {"op": op}, results, "OK", EXIT_OK, [
         f"operator {op.name}: N={op.N} d={op.d} l={op.l} k={op.k}",
         f"  elliptic over R: {ell_R.value} ({results['elliptic_R']})",
         f"  elliptic over C: {ell_C.value}",
         f"  constant rank over C: {profile.constant_rank_C} (r = {profile.kernel_dim})",
         f"  constant rank over R: {profile.constant_rank_R}",
         f"  cancelling: {cancel.cancelling} (dim W = {len(cancel.W_basis)})",
-    ])
-    return EXIT_OK
+    ]
 
 
-def cmd_compare(args) -> int:
-    calA = _load(args.calA)
-    A = _load(args.A)
-    pair = OperatorPair(calA=calA, A=A, mode=args.mode)
-    config = {
-        "calA": str(args.calA),
-        "A": str(args.A),
-        "mode": args.mode,
-        "s_max": args.s_max,
-        "seed": args.seed,
-    }
-    ops = {"calA": calA, "A": A}
+def cmd_compare(args):
+    config = {"mode": args.mode, "s_max": args.s_max, "seed": args.seed}
+    pair = _pair(args, config)
+    ops = {"calA": pair.calA, "A": pair.A}
     try:
         verdict = kernel_inclusion(pair)
     except HypothesesNotMet as exc:
@@ -174,33 +174,24 @@ def cmd_compare(args) -> int:
             "detail": "the inner operator is not of constant rank over C; "
             "identically vanishing inclusion minors carry no information here",
         }
-        report = make_report("compare", config, ops, results, "HYPOTHESES_NOT_MET")
-        emit(report, args.out, ["HYPOTHESES_NOT_MET: inner operator lacks complex constant rank"])
-        return EXIT_HYPOTHESES
+        return config, ops, results, "HYPOTHESES_NOT_MET", EXIT_HYPOTHESES, [
+            "HYPOTHESES_NOT_MET: inner operator lacks complex constant rank"]
     results = {
         "inclusion_holds": verdict.holds,
         "rank": verdict.rank,
         "minors_checked": verdict.minors_checked,
     }
-    status = "OK"
-    exit_code = EXIT_OK
     if verdict.holds:
         try:
             cert = construct_L(pair, args.s_max, verdict=verdict)
         except SMaxExceeded:
-            report = make_report("compare", config, ops, results, "S_MAX_EXCEEDED")
-            emit(report, args.out, [f"inclusion holds but no factorization up to s = {args.s_max}"])
-            return EXIT_BUDGET
+            return config, ops, results, "S_MAX_EXCEEDED", EXIT_BUDGET, [
+                f"inclusion holds but no factorization up to s = {args.s_max}"]
         qspec = quotient_spec(pair, cert.s)
         results["factorization"] = {
-            "s": cert.s,
-            "L": op_to_dict(cert.L),
-            "verified": cert.verified,
-        }
+            "s": cert.s, "L": op_to_dict(cert.L), "verified": cert.verified}
         results["quotient"] = {
-            "degree_bound": qspec.degree_bound,
-            "dimension": qspec.dimension,
-        }
+            "degree_bound": qspec.degree_bound, "dimension": qspec.dimension}
         summary = [
             "kernel inclusion holds",
             f"  factorization certificate: s = {cert.s}, order(L) = {cert.L.k}",
@@ -210,9 +201,8 @@ def cmd_compare(args) -> int:
         try:
             w = find_witness(pair, verdict=verdict)
         except SampleBudgetExceeded:
-            report = make_report("compare", config, ops, results, "SAMPLE_BUDGET_EXCEEDED")
-            emit(report, args.out, ["inclusion fails but witness search exhausted its budget"])
-            return EXIT_BUDGET
+            return config, ops, results, "SAMPLE_BUDGET_EXCEEDED", EXIT_BUDGET, [
+                "inclusion fails but witness search exhausted its budget"]
         results["witness"] = _witness_json(w)
         results["counterexample"] = {
             "family": "u_n(x) = Re[v exp(2 pi i n xi.x)]",
@@ -224,15 +214,60 @@ def cmd_compare(args) -> int:
             f"  witness xi = {results['witness']['xi']}",
             f"  witness v  = {results['witness']['v']}",
         ]
-    report = make_report("compare", config, ops, results, status)
-    emit(report, args.out, summary)
-    return exit_code
+    return config, ops, results, "OK", EXIT_OK, summary
 
 
-def _experiment_pair(args) -> OperatorPair:
-    calA = _load(args.calA)
-    A = _load(args.A)
-    return OperatorPair(calA=calA, A=A, mode=args.mode)
+# Each experiment returns (results, status, summary lines); the pair is None
+# for bb, and an experiment adds its own parameters to the config.
+
+
+def _korn2(args, pair, config):
+    value = korn_constant_p2(pair, samples=args.trials, seed=args.seed)
+    results = {
+        "constant_p2": value,
+        "notes": ["certified-by-Parseval reduction at p = 2 only"],
+    }
+    return results, "OK", [f"korn2 constant estimate: {value:.6f}"]
+
+
+def _blowup(args, pair, config):
+    verdict = kernel_inclusion(pair)
+    if verdict.holds:
+        return {"inclusion_holds": True}, "OK", [
+            "inclusion holds; no counterexample family exists"]
+    w = find_witness(pair, verdict=verdict)
+    exp = counterexample_blowup(pair, w, modes=(1, 2, 4, 8), n_grid=args.grid, seed=args.seed)
+    results = {"witness": _witness_json(w), "experiment": exp.to_dict()}
+    return results, "OK", [
+        "counterexample blow-up:",
+        f"  rhs status: {exp.summary['rhs_status']} (symbolically zero)",
+        f"  log-log slope: {exp.summary['loglog_slope']} "
+        f"(expected {exp.summary['expected_slope']})",
+        f"  Gram rank: {exp.summary['gram_rank']}",
+    ]
+
+
+def _bb(args, pair, config):
+    config.update({"k": args.k, "N": args.N})
+    exp = bb_ratio_experiment(
+        args.k, args.N, trials=args.trials, n_grid=args.grid, seed=args.seed,
+    )
+    return {"experiment": exp.to_dict()}, "OK", [
+        f"bb ratios: max {exp.summary['max_ratio']:.6f}, "
+        f"constraint residual {exp.summary['max_constraint_residual']:.2e}",
+    ]
+
+
+def _sobolev(args, pair, config):
+    config["p"] = args.p
+    exp = sobolev_ratio_experiment(
+        pair, args.p, trials=args.trials, n_grid=args.grid,
+        seed=args.seed, s_max=args.s_max,
+    )
+    return {"experiment": exp.to_dict()}, exp.status, [
+        f"sobolev ratios: max {exp.summary['max_ratio']:.6f} "
+        f"(refined {exp.summary['max_ratio_refined']:.6f}), status {exp.status}",
+    ]
 
 
 # exception -> (report status, exit code, whether str(exc) goes into the
@@ -250,105 +285,35 @@ EXPERIMENT_FAILURES = {
 }
 
 
-def cmd_experiment(args) -> int:
-    kind = args.kind
-    config = {
-        "kind": kind,
-        "seed": args.seed,
-        "grid": args.grid,
-        "trials": args.trials,
-        "mode": args.mode,
-        "s_max": args.s_max,
-    }
-    ops = {}
+def cmd_experiment(args):
+    config = {"kind": args.kind, "seed": args.seed, "grid": args.grid,
+              "trials": args.trials, "mode": args.mode, "s_max": args.s_max}
+    pair = None if args.kind == "bb" else _pair(args, config)
+    ops = {} if pair is None else {"calA": pair.calA, "A": pair.A}
+    run = {"korn2": _korn2, "blowup": _blowup, "bb": _bb, "sobolev": _sobolev}[args.kind]
     try:
-        if kind == "korn2":
-            pair = _experiment_pair(args)
-            ops = {"calA": pair.calA, "A": pair.A}
-            config.update({"calA": str(args.calA), "A": str(args.A)})
-            value = korn_constant_p2(
-                pair, samples=args.trials, seed=args.seed
-            )
-            results = {
-                "constant_p2": value,
-                "notes": ["certified-by-Parseval reduction at p = 2 only"],
-            }
-            report = make_report("experiment", config, ops, results, "OK")
-            emit(report, args.out, [f"korn2 constant estimate: {value:.6f}"])
-            return EXIT_OK
-        if kind == "blowup":
-            pair = _experiment_pair(args)
-            ops = {"calA": pair.calA, "A": pair.A}
-            config.update({"calA": str(args.calA), "A": str(args.A)})
-            verdict = kernel_inclusion(pair)
-            if verdict.holds:
-                results = {"inclusion_holds": True}
-                report = make_report("experiment", config, ops, results, "OK")
-                emit(report, args.out, ["inclusion holds; no counterexample family exists"])
-                return EXIT_OK
-            w = find_witness(pair, verdict=verdict)
-            exp = counterexample_blowup(
-                pair, w, modes=(1, 2, 4, 8), n_grid=args.grid, seed=args.seed
-            )
-            results = {"witness": _witness_json(w), "experiment": exp.to_dict()}
-            report = make_report("experiment", config, ops, results, "OK")
-            slope = exp.summary["loglog_slope"]
-            emit(report, args.out, [
-                "counterexample blow-up:",
-                f"  rhs status: {exp.summary['rhs_status']} (symbolically zero)",
-                f"  log-log slope: {slope} (expected {exp.summary['expected_slope']})",
-                f"  Gram rank: {exp.summary['gram_rank']}",
-            ])
-            return EXIT_OK
-        if kind == "bb":
-            config.update({"k": args.k, "N": args.N})
-            exp = bb_ratio_experiment(
-                args.k, args.N, trials=args.trials, n_grid=args.grid,
-                seed=args.seed,
-            )
-            results = {"experiment": exp.to_dict()}
-            report = make_report("experiment", config, {}, results, "OK")
-            emit(report, args.out, [
-                f"bb ratios: max {exp.summary['max_ratio']:.6f}, "
-                f"constraint residual {exp.summary['max_constraint_residual']:.2e}",
-            ])
-            return EXIT_OK
-        if kind == "sobolev":
-            pair = _experiment_pair(args)
-            ops = {"calA": pair.calA, "A": pair.A}
-            config.update({"calA": str(args.calA), "A": str(args.A), "p": args.p})
-            exp = sobolev_ratio_experiment(
-                pair, args.p, trials=args.trials, n_grid=args.grid,
-                seed=args.seed, s_max=args.s_max,
-            )
-            results = {"experiment": exp.to_dict()}
-            status = exp.status
-            report = make_report("experiment", config, ops, results, status)
-            emit(report, args.out, [
-                f"sobolev ratios: max {exp.summary['max_ratio']:.6f} "
-                f"(refined {exp.summary['max_ratio_refined']:.6f}), status {status}",
-            ])
-            return EXIT_OK if status in ("OK", "BOUNDED") else EXIT_HYPOTHESES
-        raise OperatorFormatError(f"unknown experiment kind: {kind}")
+        results, status, summary = run(args, pair, config)
     except tuple(EXPERIMENT_FAILURES) as exc:
         status, code, detailed = EXPERIMENT_FAILURES[type(exc)]
         results = {"detail": str(exc)} if detailed else {}
-        report = make_report("experiment", config, ops, results, status)
-        emit(report, args.out, [f"{status}: {exc}" if detailed else status])
-        return code
+        return config, ops, results, status, code, [f"{status}: {exc}" if detailed else status]
+    code = EXIT_OK if status in ("OK", "BOUNDED") else EXIT_HYPOTHESES
+    return config, ops, results, status, code, summary
 
 
 def cmd_catalog(args) -> int:
     try:
         op = catalog(args.name, args.N, k=args.k)
     except (KeyError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    if args.out:
-        save_op(op, args.out)
-        print(f"wrote {op.name} (N={op.N}, d={op.d}, l={op.l}, k={op.k}) to {args.out}")
-    else:
+        return _input_error(exc)
+    if not args.out:
         print(json.dumps(op_to_dict(op), sort_keys=True, indent=2))
+        return EXIT_OK
+    try:
+        save_op(op, args.out)
+    except OSError as exc:
+        return _input_error(f"cannot write the operator to {args.out}: {exc.strerror}")
+    print(f"wrote {op.name} (N={op.N}, d={op.d}, l={op.l}, k={op.k}) to {args.out}")
     return EXIT_OK
 
 
@@ -357,6 +322,7 @@ def cmd_catalog(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symcheck",
@@ -407,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_catalog)
 
     return parser
 
@@ -417,19 +382,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "experiment" and args.kind != "bb" and not (args.calA and args.A):
         parser.error(f"experiment {args.kind} requires -a and -A operator files")
+    if args.command == "catalog":
+        return cmd_catalog(args)
     try:
         if getattr(args, "s_max", 0) < 0:
             raise ParameterError(f"--s-max must be at least 0, got {args.s_max}")
-        return args.func(args)
+        config, ops, results, status, code, summary = args.func(args)
     except (OperatorFormatError, ParameterError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _input_error(exc)
     except MacaulayBudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except json.JSONDecodeError as exc:
-        print(f"input error: malformed JSON ({exc})", file=sys.stderr)
-        return EXIT_INPUT
+    try:
+        emit(make_report(args.command, config, ops, results, status), args.out, summary)
+    except OSError as exc:
+        return _input_error(f"cannot write the report to {args.out}: {exc.strerror}")
+    return code
 
 
 if __name__ == "__main__":

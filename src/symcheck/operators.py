@@ -255,6 +255,8 @@ def _unit_alpha(N: int, i: int, order: int = 1) -> tuple[int, ...]:
 
 def catalog(name: str, N: int, k: Optional[int] = None) -> DiffOp:
     """Standard operators with exact rational coefficients."""
+    if N < 1:
+        raise OperatorFormatError(f"N must be at least 1, got N = {N}")
     if name == "gradient":
         terms = {}
         for i in range(N):

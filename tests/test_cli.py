@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import symcheck
-from symcheck import analysis, numerics
+from symcheck import analysis, cli, numerics
 from symcheck.cli import main
 from symcheck.operators import DiffOp, catalog, grad_power, op_to_dict, save_op
 from helpers import grid_hiding_pair
@@ -413,6 +413,136 @@ class TestExperimentSizes:
         assert rep["status"] == "FIELD_BUDGET_EXCEEDED" and size in rep["results"]["detail"]
 
 
+class TestReportPaths:
+    """Each way a report command can end: exit code, summary line, report
+    status and results. Library calls are replaced in ``symcheck.cli`` where
+    the real operators would not reach that ending."""
+
+    def run(self, capsys, tmp_path, argv):
+        out = tmp_path / "r.json"
+        code = main([*argv, "--out", str(out)])
+        return code, capsys.readouterr().out.splitlines(), read(out)
+
+    def pair(self, ops_dir, calA="div2.json", A="fullgrad2.json"):
+        return ["-a", str(ops_dir / calA), "-A", str(ops_dir / A)]
+
+    def sobolev(self, ops_dir):
+        save_op(grad_power(0, 1, 2), ops_dir / "id2.json")
+        return ["experiment", "sobolev", "--mode", "sobolev",
+                *self.pair(ops_dir, "gradient2.json", "id2.json")]
+
+    @staticmethod
+    def raising(exc):
+        def fn(*args, **kwargs):
+            raise exc
+        return fn
+
+    def test_blowup_grid_below_nyquist_exit_4(self, ops_dir, tmp_path, capsys):
+        code, lines, rep = self.run(capsys, tmp_path, [
+            "experiment", "blowup", *self.pair(ops_dir), "--grid", "16"])
+        detail = "grid 16 too coarse for mode 8 (need >= 64)"
+        assert code == 4
+        assert lines == [f"NYQUIST_VIOLATION: {detail}"]
+        assert rep["status"] == "NYQUIST_VIOLATION"
+        assert rep["results"] == {"detail": detail}
+
+    def test_compare_witness_budget_exit_3(self, ops_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "find_witness",
+                            self.raising(analysis.SampleBudgetExceeded(None)))
+        code, lines, rep = self.run(capsys, tmp_path, ["compare", *self.pair(ops_dir)])
+        assert code == 3
+        assert lines == ["inclusion fails but witness search exhausted its budget"]
+        assert rep["status"] == "SAMPLE_BUDGET_EXCEEDED"
+        assert rep["results"] == {"inclusion_holds": False, "rank": 1, "minors_checked": 10}
+
+    def test_blowup_witness_budget_exit_3(self, ops_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "find_witness",
+                            self.raising(analysis.SampleBudgetExceeded(None)))
+        code, lines, rep = self.run(capsys, tmp_path, [
+            "experiment", "blowup", *self.pair(ops_dir)])
+        assert code == 3
+        assert lines == ["SAMPLE_BUDGET_EXCEEDED"]
+        assert rep["status"] == "SAMPLE_BUDGET_EXCEEDED"
+        assert rep["results"] == {}
+
+    def test_korn2_unbounded_exit_2(self, ops_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "korn_constant_p2",
+                            self.raising(numerics.UnboundedSuspected("sup above 1e6")))
+        code, lines, rep = self.run(capsys, tmp_path, [
+            "experiment", "korn2", *self.pair(ops_dir, "symgrad2.json")])
+        assert code == 2
+        assert lines == ["UNBOUNDED_SUSPECTED: sup above 1e6"]
+        assert rep["status"] == "UNBOUNDED_SUSPECTED"
+        assert rep["results"] == {"detail": "sup above 1e6"}
+        assert set(rep["operators"]) == {"calA", "A"}
+
+    def test_sobolev_ill_conditioned_exit_4(self, ops_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "sobolev_ratio_experiment",
+                            self.raising(numerics.IllConditionedQuotient("raise the grid")))
+        code, lines, rep = self.run(capsys, tmp_path, self.sobolev(ops_dir))
+        assert code == 4
+        assert lines == ["ILL_CONDITIONED_QUOTIENT: raise the grid"]
+        assert rep["status"] == "ILL_CONDITIONED_QUOTIENT"
+        assert rep["results"] == {"detail": "raise the grid"}
+        assert rep["config"]["p"] == 1.0
+
+    def test_sobolev_unstable_exit_2(self, ops_dir, tmp_path, capsys, monkeypatch):
+        exp = numerics.ExperimentReport(
+            name="sobolev_ratio_experiment", parameters={"p": 1.0},
+            summary={"max_ratio": 1.5, "max_ratio_refined": 2.25}, status="UNSTABLE")
+        monkeypatch.setattr(cli, "sobolev_ratio_experiment", lambda *a, **k: exp)
+        code, lines, rep = self.run(capsys, tmp_path, self.sobolev(ops_dir))
+        assert code == 2
+        assert lines == ["sobolev ratios: max 1.500000 (refined 2.250000), status UNSTABLE"]
+        assert rep["status"] == "UNSTABLE"
+        assert rep["results"] == {"experiment": exp.to_dict()}
+
+
+class TestUnusablePaths:
+    """An operator path that is not a readable UTF-8 file, or an --out that
+    cannot be written, exits 4 with the path on stderr, never a traceback."""
+
+    def run(self, capsys, argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("input error:") and "Traceback" not in err
+        return err
+
+    def test_analyze_a_directory(self, ops_dir, capsys):
+        assert str(ops_dir) in self.run(capsys, ["analyze", "--op", str(ops_dir)])
+
+    def test_compare_a_directory(self, ops_dir, capsys):
+        err = self.run(capsys, ["compare", "-a", str(ops_dir),
+                                "-A", str(ops_dir / "gradient2.json")])
+        assert str(ops_dir) in err
+
+    def test_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "caf\xe9"}')
+        assert str(path) in self.run(capsys, ["analyze", "--op", str(path)])
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--op", "gradient2.json"],
+        ["compare", "-a", "symgrad2.json", "-A", "fullgrad2.json"],
+        ["experiment", "bb", "--trials", "2", "--grid", "8"],
+    ])
+    def test_report_into_a_missing_directory(self, ops_dir, tmp_path, capsys, argv):
+        argv = [str(ops_dir / a) if a.endswith(".json") else a for a in argv]
+        out = tmp_path / "missing" / "r.json"
+        assert str(out) in self.run(capsys, [*argv, "--out", str(out)])
+
+    def test_catalog_into_a_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "g.json"
+        assert str(out) in self.run(capsys, ["catalog", "gradient", "--N", "2",
+                                             "--out", str(out)])
+
+    @pytest.mark.parametrize("N", ["0", "-1"])
+    def test_catalog_dimension_below_1(self, capsys, N):
+        assert "N must be at least 1" in self.run(
+            capsys, ["catalog", "div_k", "--N", N, "--k", "1"])
+
+
 class TestCatalogCommand:
     def test_writes_an_operator_file(self, tmp_path):
         out = tmp_path / "op.json"
@@ -423,6 +553,24 @@ class TestCatalogCommand:
 
     def test_unknown_name(self):
         assert main(["catalog", "nonsense", "--N", "2"]) == 4
+
+
+class TestRepeatedCalls:
+    def test_options_do_not_leak_between_calls(self, ops_dir, tmp_path, capsys):
+        # one process may run many commands; the second sees only its own
+        # options and the defaults
+        save_op(grad_power(0, 1, 2), ops_dir / "id2.json")
+        out = tmp_path / "sobolev.json"
+        main(["experiment", "sobolev", "-a", str(ops_dir / "gradient2.json"),
+              "-A", str(ops_dir / "id2.json"), "--mode", "sobolev", "--s-max", "2",
+              "--trials", "2", "--grid", "8", "--out", str(out)])
+        assert out.exists()
+        capsys.readouterr()
+        assert main(["compare", "-a", str(ops_dir / "symgrad2.json"),
+                     "-A", str(ops_dir / "fullgrad2.json")]) == 0
+        stdout = capsys.readouterr().out
+        config = json.loads(stdout[stdout.index("{"):])["config"]
+        assert config["mode"] == "korn" and config["s_max"] == 6
 
 
 class TestDeterminism:
