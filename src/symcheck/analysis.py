@@ -168,6 +168,17 @@ class WAnnihilationResult:
 # ---------------------------------------------------------------------------
 
 
+def _shell(N: int, s: int):
+    """The integer points of max-norm s in N coordinates, lazily and in
+    ``itertools.product`` order: a first coordinate of -s or s takes any
+    tail, any other first coordinate a tail of max-norm s."""
+    side = range(-s, s + 1)
+    for c in side if N else ():
+        tails = itertools.product(side, repeat=N - 1) if abs(c) == s else _shell(N - 1, s)
+        for tail in tails:
+            yield (c, *tail)
+
+
 def _sphere_like_grid(N: int, radius: int):
     """Deterministic nonzero integer points with coordinates in [-r, r],
     generated lazily, shell by shell in max-norm.
@@ -178,10 +189,8 @@ def _sphere_like_grid(N: int, radius: int):
     nonzero coordinates would move the witnesses found today (ROADMAP item
     E), so the order stays as it is.
     """
-    for shell in range(1, radius + 1):
-        for p in itertools.product(range(-shell, shell + 1), repeat=N):
-            if max(abs(c) for c in p) == shell:
-                yield p
+    for s in range(1, radius + 1):
+        yield from _shell(N, s)
 
 
 def _sample_points(rng: random.Random, N: int, grid_radius: int, radius: int):
@@ -192,8 +201,8 @@ def _sample_points(rng: random.Random, N: int, grid_radius: int, radius: int):
     CPython 3.10 to 3.13, randint(a, b) is a + r, r the top k bits of a
     Mersenne Twister word (k the bit length of b - a + 1), redrawn while
     r > b - a, and getrandbits(32 n) is the next n words, lowest first."""
-    grid = _sphere_like_grid(N, grid_radius)
-    for _, shell in itertools.groupby(grid, lambda p: max(map(abs, p))):
+    for s in range(1, grid_radius + 1):
+        shell = _shell(N, s)
         while block := list(itertools.islice(shell, SAMPLE_BLOCK)):
             yield np.array(block, dtype=np.int64)
     width, words = 2 * radius + 1, SAMPLE_BLOCK * N

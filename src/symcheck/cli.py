@@ -16,6 +16,8 @@ from fractions import Fraction
 from . import __version__
 from .groebner import MacaulayBudgetExceeded
 from .operators import (
+    CATALOG_NAMES,
+    CatalogBudgetExceeded,
     DiffOp,
     OperatorFormatError,
     OperatorPair,
@@ -302,10 +304,7 @@ def cmd_experiment(args):
 
 
 def cmd_catalog(args) -> int:
-    try:
-        op = catalog(args.name, args.N, k=args.k)
-    except (KeyError, ValueError) as exc:
-        return _input_error(exc)
+    op = catalog(args.name, args.N, k=args.k)
     if not args.out:
         print(json.dumps(op_to_dict(op), sort_keys=True, indent=2))
         return EXIT_OK
@@ -368,8 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("catalog", help="write a built-in operator to a file")
-    p.add_argument("name", help="gradient, divergence, curl, sym_gradient, "
-                   "laplacian, bilaplacian, cauchy_riemann, d2_laplacian, div_k")
+    p.add_argument("name", help=", ".join(CATALOG_NAMES))
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--out", default=None)
@@ -382,15 +380,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "experiment" and args.kind != "bb" and not (args.calA and args.A):
         parser.error(f"experiment {args.kind} requires -a and -A operator files")
-    if args.command == "catalog":
-        return cmd_catalog(args)
     try:
+        if args.command == "catalog":
+            return cmd_catalog(args)
         if getattr(args, "s_max", 0) < 0:
             raise ParameterError(f"--s-max must be at least 0, got {args.s_max}")
         config, ops, results, status, code, summary = args.func(args)
     except (OperatorFormatError, ParameterError) as exc:
         return _input_error(exc)
-    except MacaulayBudgetExceeded as exc:
+    except (MacaulayBudgetExceeded, CatalogBudgetExceeded) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     try:

@@ -169,11 +169,14 @@ def from_symbol(name: str, sym: PolyMatrix, k: int, weights=None) -> DiffOp:
     """The operator of order k whose symbol is `sym`: the inverse of
     DiffOp.symbol. Its multi-indices come in the order in which they first
     occur when the entries are read row by row."""
-    alphas = dict.fromkeys(exp for row in sym.entries for p in row for exp in p.terms)
-    terms = {
-        alpha: [[p.terms.get(alpha, 0) for p in row] for row in sym.entries]
-        for alpha in alphas
-    }
+    zero = Fraction(0)  # shared: DiffOp turns each int 0 into a new Fraction
+    terms = {}
+    for i, row in enumerate(sym.entries):
+        for j, p in enumerate(row):
+            for alpha, c in p.terms.items():
+                if alpha not in terms:
+                    terms[alpha] = [[zero] * sym.cols for _ in range(sym.rows)]
+                terms[alpha][i][j] = c
     return DiffOp(name, sym.nvars, sym.cols, sym.rows, k, terms, weights)
 
 
@@ -234,135 +237,74 @@ def stack(A1: DiffOp, A2: DiffOp) -> DiffOp:
 # Catalog
 # ---------------------------------------------------------------------------
 
-CATALOG_NAMES = (
-    "gradient",
-    "divergence",
-    "curl",
-    "sym_gradient",
-    "laplacian",
-    "bilaplacian",
-    "cauchy_riemann",
-    "d2_laplacian",
-    "div_k",
-)
+CATALOG_NAMES = ("gradient", "divergence", "curl", "sym_gradient", "laplacian",
+                 "bilaplacian", "cauchy_riemann", "d2_laplacian", "div_k")
+
+# div_k has d = C(N+k-1, N-1) components and one 1 x d coefficient matrix
+# per component (d = 1000 takes about a second and 120 MB to write out):
+# past this many components catalog raises CatalogBudgetExceeded before
+# building anything (the command line exits 3).
+DIV_K_MAX_COMPONENTS = 1000
 
 
-def _unit_alpha(N: int, i: int, order: int = 1) -> tuple[int, ...]:
-    a = [0] * N
-    a[i] = order
-    return tuple(a)
+class CatalogBudgetExceeded(Exception):
+    """div_k would have more than DIV_K_MAX_COMPONENTS components."""
 
 
 def catalog(name: str, N: int, k: Optional[int] = None) -> DiffOp:
-    """Standard operators with exact rational coefficients."""
+    """Standard operators with exact rational coefficients, each built from
+    its symbol in the variables x = (xi_1, ..., xi_N)."""
     if N < 1:
         raise OperatorFormatError(f"N must be at least 1, got N = {N}")
-    if name == "gradient":
-        terms = {}
-        for i in range(N):
-            m = [[Fraction(0)] for _ in range(N)]
-            m[i][0] = Fraction(1)
-            terms[_unit_alpha(N, i)] = m
-        return DiffOp("gradient", N, 1, N, 1, terms)
-
-    if name == "divergence":
-        terms = {}
-        for i in range(N):
-            row = [Fraction(0)] * N
-            row[i] = Fraction(1)
-            terms[_unit_alpha(N, i)] = [row]
-        return DiffOp("divergence", N, N, 1, 1, terms)
-
-    if name == "curl":
-        if N == 3:
-            eps = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
-                   (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
-            terms = {}
-            for j in range(3):
-                m = [[Fraction(0)] * 3 for _ in range(3)]
-                for i in range(3):
-                    for t in range(3):
-                        sgn = eps.get((i, j, t), 0)
-                        if sgn:
-                            m[i][t] = Fraction(sgn)
-                terms[_unit_alpha(3, j)] = m
-            return DiffOp("curl", 3, 3, 3, 1, terms)
-        if N == 2:
-            # scalar curl: du2/dx1 - du1/dx2
-            return DiffOp(
-                "curl",
-                2,
-                2,
-                1,
-                1,
-                {
-                    (1, 0): [[Fraction(0), Fraction(1)]],
-                    (0, 1): [[Fraction(-1), Fraction(0)]],
-                },
-            )
+    if name not in CATALOG_NAMES:
+        raise OperatorFormatError(f"unknown catalog operator {name!r}")
+    if name == "curl" and N not in (2, 3):
         raise OperatorFormatError("curl requires N = 3 (or the scalar curl, N = 2)")
-
-    if name == "sym_gradient":
-        if N not in (2, 3):
-            raise OperatorFormatError("sym_gradient catalog entry supports N in {2, 3}")
-        pairs = [(i, i) for i in range(N)] + [
-            (i, j) for i in range(N) for j in range(i + 1, N)
-        ]
-        l = len(pairs)
-        terms: dict = {}
-        for r, (i, j) in enumerate(pairs):
-            # row r carries (d_i u_j + d_j u_i) / 2
-            for var, comp in ((i, j), (j, i)):
-                alpha = _unit_alpha(N, var)
-                m = terms.setdefault(alpha, [[Fraction(0)] * N for _ in range(l)])
-                m[r][comp] += Fraction(1, 2)
-        weights = tuple(
-            Fraction(1) if i == j else Fraction(2) for (i, j) in pairs
-        )
-        return DiffOp("sym_gradient", N, N, l, 1, terms, weights)
-
-    if name == "laplacian":
-        terms = {}
-        for i in range(N):
-            terms[_unit_alpha(N, i, 2)] = [[Fraction(1)]]
-        return DiffOp("laplacian", N, 1, 1, 2, terms)
-
-    if name == "bilaplacian":
-        lap = catalog("laplacian", N).symbol()
-        return from_symbol("bilaplacian", lap @ lap, 4)
-
-    if name == "cauchy_riemann":
-        if N != 2:
-            raise OperatorFormatError("cauchy_riemann requires N = 2")
-        return DiffOp(
-            "cauchy_riemann",
-            2,
-            2,
-            2,
-            1,
-            {
-                (1, 0): [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]],
-                (0, 1): [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]],
-            },
-        )
-
-    if name == "d2_laplacian":
-        sym = grad_power(2, 1, N).symbol() @ catalog("laplacian", N).symbol()
-        return from_symbol("d2_laplacian", sym, 4)
-
+    if name == "sym_gradient" and N not in (2, 3):
+        raise OperatorFormatError("sym_gradient catalog entry supports N in {2, 3}")
+    if name == "cauchy_riemann" and N != 2:
+        raise OperatorFormatError("cauchy_riemann requires N = 2")
     if name == "div_k":
         if k is None:
             raise OperatorFormatError("div_k requires the order k")
-        betas = monomials_of_degree(N, k)
-        d = len(betas)
-        terms = {}
-        for j, beta in enumerate(betas):
-            row = [Fraction(0)] * d
-            row[j] = Fraction(1)
-            terms[beta] = [row]
-        return DiffOp(f"div_{k}", N, d, 1, k, terms)
-
-    raise OperatorFormatError(f"unknown catalog operator {name!r}")
+        if k < 0:
+            raise OperatorFormatError(f"div_k needs k to be nonnegative, got k = {k}")
+        if (d := multiindex_count(N, k)) > DIV_K_MAX_COMPONENTS:
+            raise CatalogBudgetExceeded(f"div_k with N = {N}, k = {k} has {d} components "
+                                        f"(budget {DIV_K_MAX_COMPONENTS})")
+        row = [MultiPoly.monomial(N, beta) for beta in monomials_of_degree(N, k)]
+        return from_symbol(f"div_{k}", PolyMatrix([row]), k)
+    x = [MultiPoly.variable(N, i) for i in range(N)]
+    zero = MultiPoly.zero(N)
+    if name == "gradient":
+        return from_symbol(name, PolyMatrix([[xi] for xi in x]), 1)
+    if name == "divergence":
+        return from_symbol(name, PolyMatrix([x]), 1)
+    if name == "curl" and N == 3:
+        x1, x2, x3 = x
+        rows = [[zero, -x3, x2], [x3, zero, -x1], [-x2, x1, zero]]
+        return from_symbol(name, PolyMatrix(rows), 1)
+    if name == "curl":  # the scalar curl du2/dx1 - du1/dx2
+        return from_symbol(name, PolyMatrix([[-x[1], x[0]]]), 1)
+    if name == "sym_gradient":
+        pairs = [(i, i) for i in range(N)] + [(i, j) for i in range(N) for j in range(i + 1, N)]
+        # row (i, j) carries (d_i u_j + d_j u_i) / 2
+        rows = [[(x[i] if c == j else zero) + (x[j] if c == i else zero) for c in range(N)]
+                for i, j in pairs]
+        weights = [1 if i == j else 2 for i, j in pairs]
+        return from_symbol(name, PolyMatrix(rows).scale(Fraction(1, 2)), 1, weights)
+    if name == "cauchy_riemann":
+        x1, x2 = x
+        return from_symbol(name, PolyMatrix([[x1, -x2], [x2, x1]]), 1)
+    # the sum of the xi^2 as one term map: N - 1 additions copy O(N^2) terms
+    lap = MultiPoly(N, {sq: 1 for xi in x for sq in (xi * xi).terms})
+    if name == "laplacian":
+        return from_symbol(name, PolyMatrix([[lap]]), 2)
+    if name == "bilaplacian":
+        return from_symbol(name, PolyMatrix([[lap * lap]]), 4)
+    # d2_laplacian
+    rows = [[x[a] * x[b] * lap] for a, b in ordered_tuples(N, 2)]
+    return from_symbol(name, PolyMatrix(rows), 4)
 
 
 def multiindex_count(N: int, k: int) -> int:

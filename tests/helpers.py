@@ -1,5 +1,6 @@
 """Shared generators for randomized tests."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -19,7 +20,6 @@ from symcheck.analysis import (
     PolynomialLift,
     SMaxExceeded,
     _constant_case_lift,
-    _sphere_like_grid,
     rank_profile,
 )
 from symcheck.exact import MultiPoly, PolyMatrix, monomials_of_degree
@@ -34,8 +34,10 @@ from symcheck.numerics import (
 )
 from symcheck.operators import (
     DiffOp,
+    OperatorFormatError,
     OperatorPair,
     catalog,
+    from_symbol,
     grad_power,
     multi_index,
     ordered_tuples,
@@ -191,6 +193,15 @@ def _minor_rank_at(minors_by_size, point) -> bool:
     return all(m.evaluate(point) == 0 for m in minors_by_size)
 
 
+def reference_sphere_like_grid(N, radius):
+    """The shell grid walked through all of itertools.product, one shell at
+    a time."""
+    for shell in range(1, radius + 1):
+        for p in itertools.product(range(-shell, shell + 1), repeat=N):
+            if max(abs(c) for c in p) == shell:
+                yield p
+
+
 def reference_random_points(seed, nvars, radius, count):
     """The first `count` nonzero points of the per-coordinate randint loop."""
     rng = random.Random(seed)
@@ -206,7 +217,7 @@ def reference_real_constant_rank(rho_minors, nvars, budget, seed):
     """(status, witness) of the Fraction sampling loop."""
     rng = random.Random(seed)
     count = 0
-    for point in _sphere_like_grid(nvars, 3):
+    for point in reference_sphere_like_grid(nvars, 3):
         frac_point = tuple(Fraction(c) for c in point)
         if _minor_rank_at(rho_minors, frac_point):
             return CERTIFIED_NO, frac_point
@@ -241,7 +252,7 @@ def reference_is_elliptic(op, field, seed=0):
     if elliptic_C:
         return EllipticVerdict("R", True, CERTIFIED_YES)
     if not d_minors:
-        point = tuple(Fraction(c) for c in next(_sphere_like_grid(op.N, 1)))
+        point = tuple(Fraction(c) for c in next(reference_sphere_like_grid(op.N, 1)))
         return EllipticVerdict("R", False, CERTIFIED_NO, witness=point)
     status, witness = reference_real_constant_rank(
         d_minors, op.N, REAL_SAMPLE_BUDGET, seed
@@ -559,6 +570,98 @@ def assert_same_operator(op, ref, same_order=True):
     assert entry_term_orders(op.symbol()) == entry_term_orders(reference_symbol(op))
     if same_order:
         assert list(op.terms) == list(ref.terms)
+
+
+# ---------------------------------------------------------------------------
+# reference implementation of the catalog as it was before every entry was
+# built from its symbol: unit multi-indices, a Levi-Civita table and
+# accumulated half-entries; the differential tests compare the library with
+# it
+# ---------------------------------------------------------------------------
+
+
+def _reference_unit_alpha(N, i, order=1):
+    a = [0] * N
+    a[i] = order
+    return tuple(a)
+
+
+def reference_catalog(name, N, k=None):
+    if N < 1:
+        raise OperatorFormatError(f"N must be at least 1, got N = {N}")
+    if name == "gradient":
+        terms = {}
+        for i in range(N):
+            m = [[Fraction(0)] for _ in range(N)]
+            m[i][0] = Fraction(1)
+            terms[_reference_unit_alpha(N, i)] = m
+        return DiffOp("gradient", N, 1, N, 1, terms)
+    if name == "divergence":
+        terms = {}
+        for i in range(N):
+            row = [Fraction(0)] * N
+            row[i] = Fraction(1)
+            terms[_reference_unit_alpha(N, i)] = [row]
+        return DiffOp("divergence", N, N, 1, 1, terms)
+    if name == "curl":
+        if N == 3:
+            eps = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
+                   (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
+            terms = {}
+            for j in range(3):
+                m = [[Fraction(0)] * 3 for _ in range(3)]
+                for i in range(3):
+                    for t in range(3):
+                        sgn = eps.get((i, j, t), 0)
+                        if sgn:
+                            m[i][t] = Fraction(sgn)
+                terms[_reference_unit_alpha(3, j)] = m
+            return DiffOp("curl", 3, 3, 3, 1, terms)
+        if N == 2:
+            return DiffOp("curl", 2, 2, 1, 1, {(1, 0): [[Fraction(0), Fraction(1)]],
+                                               (0, 1): [[Fraction(-1), Fraction(0)]]})
+        raise OperatorFormatError("curl requires N = 3 (or the scalar curl, N = 2)")
+    if name == "sym_gradient":
+        if N not in (2, 3):
+            raise OperatorFormatError("sym_gradient catalog entry supports N in {2, 3}")
+        pairs = [(i, i) for i in range(N)] + [
+            (i, j) for i in range(N) for j in range(i + 1, N)]
+        l = len(pairs)
+        terms = {}
+        for r, (i, j) in enumerate(pairs):
+            for var, comp in ((i, j), (j, i)):
+                m = terms.setdefault(_reference_unit_alpha(N, var),
+                                     [[Fraction(0)] * N for _ in range(l)])
+                m[r][comp] += Fraction(1, 2)
+        weights = tuple(Fraction(1) if i == j else Fraction(2) for (i, j) in pairs)
+        return DiffOp("sym_gradient", N, N, l, 1, terms, weights)
+    if name == "laplacian":
+        terms = {_reference_unit_alpha(N, i, 2): [[Fraction(1)]] for i in range(N)}
+        return DiffOp("laplacian", N, 1, 1, 2, terms)
+    if name == "bilaplacian":
+        lap = reference_catalog("laplacian", N).symbol()
+        return from_symbol("bilaplacian", lap @ lap, 4)
+    if name == "cauchy_riemann":
+        if N != 2:
+            raise OperatorFormatError("cauchy_riemann requires N = 2")
+        return DiffOp("cauchy_riemann", 2, 2, 2, 1, {
+            (1, 0): [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]],
+            (0, 1): [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]]})
+    if name == "d2_laplacian":
+        sym = grad_power(2, 1, N).symbol() @ reference_catalog("laplacian", N).symbol()
+        return from_symbol("d2_laplacian", sym, 4)
+    if name == "div_k":
+        if k is None:
+            raise OperatorFormatError("div_k requires the order k")
+        betas = monomials_of_degree(N, k)
+        d = len(betas)
+        terms = {}
+        for j, beta in enumerate(betas):
+            row = [Fraction(0)] * d
+            row[j] = Fraction(1)
+            terms[beta] = [row]
+        return DiffOp(f"div_{k}", N, d, 1, k, terms)
+    raise OperatorFormatError(f"unknown catalog operator {name!r}")
 
 
 # ---------------------------------------------------------------------------

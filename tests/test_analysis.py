@@ -11,6 +11,7 @@ from symcheck.cli import main
 from symcheck.analysis import (
     _real_constant_rank,
     _sample_points,
+    _shell,
     _sphere_like_grid,
     CERTIFIED_NO,
     CERTIFIED_YES,
@@ -53,6 +54,7 @@ from helpers import (
     reference_is_elliptic,
     reference_random_points,
     reference_real_constant_rank,
+    reference_sphere_like_grid,
 )
 
 
@@ -69,6 +71,17 @@ class TestSphereLikeGrid:
             if max(map(abs, p)) == shell
         ]
         assert list(_sphere_like_grid(2, 2)) == expected
+
+    def test_shells_match_the_reference(self):
+        # each shell walked directly: the points of the full product walk,
+        # in its order
+        for N in range(1, 6):
+            for radius in range(1, 4):
+                assert list(_sphere_like_grid(N, radius)) == list(
+                    reference_sphere_like_grid(N, radius)), (N, radius)
+        for N, s in ((1, 4), (2, 5), (3, 4)):
+            assert list(_shell(N, s)) == [p for p in reference_sphere_like_grid(N, s)
+                                          if max(map(abs, p)) == s]
 
     def test_first_points_come_without_building_the_grid(self):
         # 7^40 points in all: only a lazy grid can hand out its first few
@@ -101,7 +114,8 @@ class TestSamplePoints:
         blocks = _sample_points(random.Random(0), 3, 3, 50)
         grid = [next(blocks) for _ in range(3)]  # 26, 98 and 218 points
         assert [set(np.abs(b).max(axis=1).tolist()) for b in grid] == [{1}, {2}, {3}]
-        assert [tuple(p) for b in grid for p in b.tolist()] == list(_sphere_like_grid(3, 3))
+        assert [tuple(p) for b in grid for p in b.tolist()] == list(
+            reference_sphere_like_grid(3, 3))
         assert list(map(tuple, next(blocks).tolist()[:3])) == reference_random_points(0, 3, 50, 3)
         # a shell of more than SAMPLE_BLOCK points is split: 3^8 - 1 in shell 1
         sizes = [len(b) for b in itertools.islice(_sample_points(random.Random(0), 8, 1, 50), 4)]

@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import symcheck
-from symcheck import analysis, cli, numerics
+from symcheck import analysis, cli, numerics, operators
 from symcheck.cli import main
 from symcheck.operators import DiffOp, catalog, grad_power, op_to_dict, save_op
 from helpers import grid_hiding_pair
@@ -553,6 +554,24 @@ class TestCatalogCommand:
 
     def test_unknown_name(self):
         assert main(["catalog", "nonsense", "--N", "2"]) == 4
+
+    def test_div_k_past_the_budget_exits_3(self, capsys, monkeypatch):
+        # --N 3 --k 400 has C(402, 2) = 80601 components: refused before the
+        # monomials are listed
+        def refuse(*args):
+            raise AssertionError("div_k started work past the budget")
+        monkeypatch.setattr(operators, "monomials_of_degree", refuse)
+        start = time.perf_counter()
+        code = main(["catalog", "div_k", "--N", "3", "--k", "400"])
+        assert time.perf_counter() - start < 0.5
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("budget exceeded:") and "80601 components" in err
+
+    def test_div_k_negative_order_names_k(self, capsys):
+        assert main(["catalog", "div_k", "--N", "3", "--k", "-1"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "k to be nonnegative, got k = -1" in err
 
 
 class TestRepeatedCalls:

@@ -4,7 +4,11 @@ from fractions import Fraction
 import pytest
 
 from symcheck.exact import MultiPoly
+from symcheck import operators
 from symcheck.operators import (
+    CATALOG_NAMES,
+    DIV_K_MAX_COMPONENTS,
+    CatalogBudgetExceeded,
     DiffOp,
     OperatorFormatError,
     OperatorPair,
@@ -25,6 +29,7 @@ from helpers import (
     rand_op,
     rand_point,
     rand_poly,
+    reference_catalog,
     reference_compose,
     reference_grad_power,
     reference_stack,
@@ -179,6 +184,20 @@ class TestCatalog:
         with pytest.raises((KeyError, ValueError)):
             catalog("nonsense", 2)
 
+    def test_div_k_past_the_budget(self, monkeypatch):
+        # N = 2 has k + 1 components: one past the budget, refused before
+        # the monomials are listed
+        def refuse(*args):
+            raise AssertionError("div_k started work past the budget")
+        monkeypatch.setattr(operators, "monomials_of_degree", refuse)
+        with pytest.raises(CatalogBudgetExceeded, match=f"{DIV_K_MAX_COMPONENTS + 1} components"):
+            catalog("div_k", 2, k=DIV_K_MAX_COMPONENTS)
+
+    @pytest.mark.parametrize("k", [-1, -7])
+    def test_div_k_negative_order(self, k):
+        with pytest.raises(OperatorFormatError, match=f"k to be nonnegative, got k = {k}"):
+            catalog("div_k", 2, k=k)
+
 
 class TestStack:
     def test_stacked_symbol(self):
@@ -250,6 +269,23 @@ class TestMatchesReference:
         d2lap = reference_compose(reference_grad_power(2, 1, N), lap)
         assert_same_operator(catalog("d2_laplacian", N),
                              DiffOp("d2_laplacian", N, 1, d2lap.l, 4, d2lap.terms))
+
+    @pytest.mark.parametrize("name,N,k", [(name, N, None) for name in CATALOG_NAMES
+                                          for N in range(1, 5)]
+                             + [("div_k", N, k) for N in range(1, 5) for k in range(5)])
+    def test_catalog(self, name, N, k):
+        # curl lists its multi-indices in another order than the reference;
+        # each of its symbol entries has a single term
+        try:
+            ref = reference_catalog(name, N, k)
+        except OperatorFormatError as exc:
+            with pytest.raises(OperatorFormatError) as err:
+                catalog(name, N, k)
+            assert str(err.value) == str(exc)
+            return
+        op = catalog(name, N, k)
+        assert_same_operator(op, ref, same_order=name != "curl")
+        assert (op.content_hash(), op.weights) == (ref.content_hash(), ref.weights)
 
 
 class TestSerialization:
