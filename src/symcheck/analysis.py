@@ -538,10 +538,9 @@ def compute_W(
     stable = 0
     blocks = _sample_points(random.Random(seed), op.N, 2, 20)
     for p in itertools.chain.from_iterable(block.tolist() for block in blocks):
-        M = sym.evaluate(tuple(Fraction(c) for c in p))
-        if M.rank() != rho:
+        image = sym.evaluate(tuple(Fraction(c) for c in p)).column_space_basis()
+        if len(image) != rho:
             continue
-        image = M.column_space_basis()
         if current is None:
             current = image
         else:
@@ -598,11 +597,14 @@ def construct_annihilator(
 ) -> Annihilator:
     """Cayley-Hamilton annihilator of the symbol image.
 
-    With M = S S^T and charpoly lambda^{l-rho}(lambda^rho + c_{rho-1}
-    lambda^{rho-1} + ... + c_0), the matrix polynomial
+    M = S S^T has rank at most rho everywhere, so its charpoly is
+    lambda^{l-rho}(lambda^rho + c_{rho-1} lambda^{rho-1} + ... + c_0), and
+    by Cauchy-Binet c_0 is (-1)^rho times the sum of the squared rho-minors
+    of S, a nonzero polynomial. The matrix polynomial
     B = (-1)^rho (M^rho + c_{rho-1} M^{rho-1} + ... + c_1 M + c_0 Id)
-    equals (-1)^rho c_0(xi) (Id - P_{Image S[xi]}) at every real xi of full
-    generic rank; the sign makes the scalar gradient give
+    is step rho of the Faddeev-LeVerrier recurrence of M, up to the sign,
+    and equals (-1)^rho c_0(xi) (Id - P_{Image S[xi]}) at every real xi of
+    full generic rank; the sign makes the scalar gradient give
     |xi|^2 Id - xi xi^T.  B S = 0 is verified as an exact identity.
     """
     if profile is None:
@@ -613,20 +615,8 @@ def construct_annihilator(
         )
     sym = op.symbol()
     rho = profile.generic_rank
-    l = op.l
-    M = sym @ sym.transpose()
-    cs_full = M.charpoly()  # c_0..c_{l-1} of det(lambda Id - M)
-    if any(cs_full[: l - rho]):
-        raise DegenerateCharpoly("charpoly has a nonzero coefficient below the rank gap")
-    shifted = cs_full[l - rho : l - rho + rho]  # c_0..c_{rho-1} of the factor
-    if not shifted or shifted[0].is_zero:
-        raise DegenerateCharpoly("constant coefficient of the rank factor vanishes")
-    identity = PolyMatrix.identity(l, op.N)
-    # Horner: B = (...((M + c_{rho-1}) M + c_{rho-2}) M ...) M + c_0
-    B = M
-    for c in reversed(shifted[1:]):
-        B = (B + identity.scale_poly(c)) @ M
-    B = B + identity.scale_poly(shifted[0])
+    # c_0..c_{rho-1} of the factor are c_{l-rho}..c_{l-1} of the charpoly
+    shifted, B = (sym @ sym.transpose()).faddeev_leverrier(rho)
     sign = (-1) ** rho
     B = B.scale(Fraction(sign))
     prod = B @ sym
@@ -638,7 +628,7 @@ def construct_annihilator(
         op=b_op,
         order=order,
         charpoly_coeffs=tuple(shifted),
-        m=l,
+        m=op.l,
         sign=sign,
     )
 
@@ -657,30 +647,21 @@ def construct_Cbeta(
         )
     betas = sorted(ann.op.terms)
     m = ann.m
-    # row i of the identity decouples: solve for the i-th rows of all C_beta
-    rows_of_C: list[list] = []
-    system_cols = []
-    for beta in betas:
-        Bb = ann.op.terms[beta]  # m x l
-        for t in range(m):
-            system_cols.append([Bb[t][j] for j in range(l)])
-    # system matrix: (l equations) x (len(betas)*m unknowns) per identity row
-    sys_mat = ScalarMatrix.from_columns(system_cols)  # l x (betas*m)
-    for i in range(l):
-        rhs = [P.entries[i][j] for j in range(l)]
-        sol = sys_mat.solve(rhs)
-        if sol is None:
-            raise ProjectionInfeasible(
-                "projection identity infeasible", data={"row": i, "P": P}
-            )
-        rows_of_C.append(list(sol))
-    C_beta = {}
-    for b_idx, beta in enumerate(betas):
-        C = [
-            [rows_of_C[i][b_idx * m + t] for t in range(m)]
-            for i in range(l)
-        ]
-        C_beta[beta] = ScalarMatrix(C)
+    # row i of the identity decouples: the i-th rows of all C_beta solve the
+    # l equations in len(betas)*m unknowns whose columns are the rows of the
+    # m x l matrices B_beta, with row i of P on the right; one elimination
+    # solves all l of them
+    sys_mat = ScalarMatrix.from_columns([row for beta in betas for row in ann.op.terms[beta]])
+    rows_of_C = sys_mat.solve_many(P.entries)
+    if None in rows_of_C:
+        raise ProjectionInfeasible(
+            "projection identity infeasible",
+            data={"row": rows_of_C.index(None), "P": P},
+        )
+    C_beta = {
+        beta: ScalarMatrix([[row[b * m + t] for t in range(m)] for row in rows_of_C])
+        for b, beta in enumerate(betas)
+    }
     # exact re-verification of the identity
     acc = ScalarMatrix.zeros(l, l)
     for beta, C in C_beta.items():

@@ -13,13 +13,22 @@ from typing import Iterable, Sequence
 
 
 def monomials_of_degree(nvars: int, deg: int) -> list[tuple[int, ...]]:
-    """All exponent vectors in `nvars` variables of total degree `deg`."""
-    if nvars == 0:
-        return [()] if deg == 0 else []
-    out = []
-    for head in range(deg, -1, -1):
-        for tail in monomials_of_degree(nvars - 1, deg - head):
-            out.append((head,) + tail)
+    """All exponent vectors in `nvars` variables of total degree `deg`, in
+    decreasing lexicographic order. Each next vector moves one unit from the
+    last nonzero entry before the final one into the entry after it, which
+    also takes what the final entry held."""
+    if nvars == 0 or deg < 0:
+        return [()] if nvars == deg == 0 else []
+    e = [deg] + [0] * (nvars - 1)
+    out = [tuple(e)]
+    while e[-1] != deg:
+        i = nvars - 2
+        while not e[i]:
+            i -= 1
+        last, e[-1] = e[-1], 0
+        e[i] -= 1
+        e[i + 1] = last + 1
+        out.append(tuple(e))
     return out
 
 
@@ -449,21 +458,32 @@ class ScalarMatrix:
 
     def solve(self, rhs: Sequence):
         """One exact solution of self @ x = rhs, or None if infeasible."""
-        if len(rhs) != self.rows:
+        return self.solve_many([rhs])[0]
+
+    def solve_many(self, rhss: Sequence[Sequence]) -> list:
+        """For each right-hand side b, the solution of self @ x = b with its
+        free variables zero, or None if infeasible, from one elimination of
+        [self | b_1 ... b_m]. b_t is infeasible exactly when an echelon row
+        that is zero on self is nonzero in column t; such rows change no
+        feasible column, so each solution is the one [self | b_t] gives."""
+        if any(len(rhs) != self.rows for rhs in rhss):
             raise ValueError("rhs dimension mismatch")
         n = self.cols
         rows = self._sparse_rows()
-        for row, b in zip(rows, rhs):
-            if b:
-                row[n] = Fraction(b) if isinstance(b, int) else b
-        rref = back_substitute(forward_eliminate(rows, n + 1))
-        if n in rref:
-            return None  # pivot in the rhs column: inconsistent
-        x = [Fraction(0)] * n
-        for pc, row in rref.items():
-            if n in row:
-                x[pc] = row[n]
-        return tuple(x)
+        for t, rhs in enumerate(rhss, n):
+            for row, b in zip(rows, rhs):
+                if b:
+                    row[t] = Fraction(b) if isinstance(b, int) else b
+        rref = back_substitute(forward_eliminate(rows, n + len(rhss)))
+        infeasible = {t for c, row in rref.items() if c >= n for t in row}
+        out = []
+        for t in range(n, n + len(rhss)):
+            x = [Fraction(0)] * n
+            for pc, row in rref.items():
+                if pc < n and t in row:
+                    x[pc] = row[t]
+            out.append(None if t in infeasible else tuple(x))
+        return out
 
     def column_space_basis(self) -> list[tuple]:
         """Basis of the column span, as vectors in the row-count dimension."""
@@ -531,17 +551,14 @@ def subspace_intersect(U: Sequence[Sequence], V: Sequence[Sequence], dim: int) -
     if not U or not V:
         return []
     # Solve U a = V b: kernel of [U | -V] stacked column-wise.
+    # With U and V independent, (a, b) -> U a is injective on the kernel
+    # of [U | -V], so the images of its basis are independent and nonzero.
     cols = [list(u) for u in U] + [[-c for c in v] for v in V]
     M = ScalarMatrix.from_columns(cols)
-    basis = []
-    for sol in M.kernel_basis():
-        a = sol[: len(U)]
-        vec = tuple(
-            sum(ai * u[i] for ai, u in zip(a, U)) for i in range(dim)
-        )
-        if any(c != 0 for c in vec):
-            basis.append(vec)
-    return reduce_basis(basis, dim)
+    return [
+        tuple(sum(ai * u[i] for ai, u in zip(sol, U)) for i in range(dim))
+        for sol in M.kernel_basis()
+    ]
 
 
 def projector_onto_complement(B: Sequence[Sequence], dim: int) -> ScalarMatrix:
@@ -551,18 +568,9 @@ def projector_onto_complement(B: Sequence[Sequence], dim: int) -> ScalarMatrix:
         return ScalarMatrix.identity(dim)
     Bm = ScalarMatrix.from_columns(B)  # dim x r
     G = Bm.transpose() @ Bm  # r x r Gram, invertible for independent basis
-    r = len(B)
-    # Solve G X = B^T for X, column by column.
-    Bt = Bm.transpose()
-    Xcols = []
-    for j in range(dim):
-        col = [Bt.entries[i][j] for i in range(r)]
-        sol = G.solve(col)
-        assert sol is not None, "Gram matrix singular on independent basis"
-        Xcols.append(sol)
-    X = ScalarMatrix.from_columns(Xcols)  # r x dim
-    P_onto = Bm @ X
-    return ScalarMatrix.identity(dim) - P_onto
+    # G X = B^T: column j of B^T is row j of Bm
+    X = ScalarMatrix.from_columns(G.solve_many(Bm.entries))  # r x dim
+    return ScalarMatrix.identity(dim) - Bm @ X
 
 
 # ---------------------------------------------------------------------------
@@ -623,24 +631,8 @@ class PolyMatrix:
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(list(zip(*self.entries)))
 
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return PolyMatrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self + other.scale(Fraction(-1))
-
     def scale(self, c) -> "PolyMatrix":
         return PolyMatrix([[p * c for p in row] for row in self.entries])
-
-    def scale_poly(self, q: MultiPoly) -> "PolyMatrix":
-        return PolyMatrix([[p * q for p in row] for row in self.entries])
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
@@ -710,34 +702,26 @@ class PolyMatrix:
         return out
 
     def charpoly(self) -> list[MultiPoly]:
-        """Coefficients c_0..c_{n-1} of det(lambda*Id - M), leading term 1.
+        """Coefficients c_0..c_{n-1} of det(lambda*Id - M), leading term 1."""
+        return self.faddeev_leverrier(self.rows)[0]
 
-        Faddeev-LeVerrier recurrence; the only divisions are by integers.
-        """
+    def faddeev_leverrier(self, steps: int) -> tuple[list[MultiPoly], "PolyMatrix"]:
+        """The first `steps` steps of the Faddeev-LeVerrier recurrence of the
+        square matrix M: c_{n-steps}..c_{n-1} of det(lambda*Id - M) and
+        M^steps + c_{n-1} M^(steps-1) + ... + c_{n-steps} Id. Step k multiplies
+        by M and adds c_{n-k} Id, c_{n-k} being minus the trace over k, so the
+        only divisions are by integers."""
         if self.rows != self.cols:
             raise ValueError("charpoly of a non-square matrix")
-        n = self.rows
-        nv = self.nvars
-        cs = [MultiPoly.zero(nv)] * n
-        B = PolyMatrix.identity(n, nv)
-        for k in range(1, n + 1):
+        cs = []
+        B = PolyMatrix.identity(self.rows, self.nvars)
+        for k in range(1, steps + 1):
             A = self @ B
-            tr = MultiPoly.zero(nv)
-            for i in range(n):
-                tr = tr + A.entries[i][i]
-            c = tr * Fraction(-1, k)
-            cs[n - k] = c
-            if k < n:
-                B = A + PolyMatrix.identity(n, nv).scale_poly(c)
-        return cs
-
-    def power(self, e: int) -> "PolyMatrix":
-        if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        out = PolyMatrix.identity(self.rows, self.nvars)
-        for _ in range(e):
-            out = out @ self
-        return out
+            c = sum((A.entries[i][i] for i in range(self.rows)), MultiPoly.zero(self.nvars))
+            cs.append(c * Fraction(-1, k))
+            B = PolyMatrix([[p + cs[-1] if i == j else p for j, p in enumerate(row)]
+                            for i, row in enumerate(A.entries)])
+        return cs[::-1], B
 
     def __repr__(self):
         return f"PolyMatrix({self.rows}x{self.cols})"

@@ -245,10 +245,15 @@ CATALOG_NAMES = ("gradient", "divergence", "curl", "sym_gradient", "laplacian",
 # past this many components catalog raises CatalogBudgetExceeded before
 # building anything (the command line exits 3).
 DIV_K_MAX_COMPONENTS = 1000
+# Every entry stores one multi-index of N integers and one l x d matrix per
+# term; past this many integers, what div_k stores at its component budget
+# in N = 2, catalog raises CatalogBudgetExceeded before building anything.
+CATALOG_MAX_INTEGERS = DIV_K_MAX_COMPONENTS * (2 + DIV_K_MAX_COMPONENTS)
 
 
 class CatalogBudgetExceeded(Exception):
-    """div_k would have more than DIV_K_MAX_COMPONENTS components."""
+    """The catalog entry would store more than CATALOG_MAX_INTEGERS
+    integers, or div_k would have more than DIV_K_MAX_COMPONENTS components."""
 
 
 def catalog(name: str, N: int, k: Optional[int] = None) -> DiffOp:
@@ -272,6 +277,10 @@ def catalog(name: str, N: int, k: Optional[int] = None) -> DiffOp:
         if (d := multiindex_count(N, k)) > DIV_K_MAX_COMPONENTS:
             raise CatalogBudgetExceeded(f"div_k with N = {N}, k = {k} has {d} components "
                                         f"(budget {DIV_K_MAX_COMPONENTS})")
+    if (size := catalog_integers(name, N, k)) > CATALOG_MAX_INTEGERS:
+        raise CatalogBudgetExceeded(f"{name} with N = {N} stores {size} integers "
+                                    f"(budget {CATALOG_MAX_INTEGERS})")
+    if name == "div_k":
         row = [MultiPoly.monomial(N, beta) for beta in monomials_of_degree(N, k)]
         return from_symbol(f"div_{k}", PolyMatrix([row]), k)
     x = [MultiPoly.variable(N, i) for i in range(N)]
@@ -305,6 +314,26 @@ def catalog(name: str, N: int, k: Optional[int] = None) -> DiffOp:
     # d2_laplacian
     rows = [[x[a] * x[b] * lap] for a, b in ordered_tuples(N, 2)]
     return from_symbol(name, PolyMatrix(rows), 4)
+
+
+def catalog_integers(name: str, N: int, k: Optional[int] = None) -> int:
+    """The integers that the catalog entry stores, in closed form: its
+    multi-indices times (N + l d)."""
+    if name == "div_k":
+        d = multiindex_count(N, k)
+        return d * (N + d)  # one term per component, l = 1
+    terms, l, d = {
+        "gradient": (N, N, 1),
+        "divergence": (N, 1, N),
+        "curl": (N, 3 if N == 3 else 1, N),
+        "sym_gradient": (N, N * (N + 1) // 2, N),
+        "laplacian": (N, 1, 1),
+        "bilaplacian": (math.comb(N + 1, 2), 1, 1),  # the xi_i^4 and xi_i^2 xi_j^2
+        "cauchy_riemann": (N, N, N),
+        # the degree-4 monomials but the squarefree ones
+        "d2_laplacian": (math.comb(N + 3, 4) - math.comb(N, 4), N * N, 1),
+    }[name]
+    return terms * (N + l * d)
 
 
 def multiindex_count(N: int, k: int) -> int:

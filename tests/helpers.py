@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from symcheck import exact
 from symcheck.analysis import (
     CERTIFIED_NO,
     CERTIFIED_YES,
@@ -14,6 +15,7 @@ from symcheck.analysis import (
     UNCERTIFIED_YES,
     Annihilator,
     DegenerateCharpoly,
+    ProjectionInfeasible,
     EllipticVerdict,
     FactorizationCertificate,
     NotInImage,
@@ -22,7 +24,15 @@ from symcheck.analysis import (
     _constant_case_lift,
     rank_profile,
 )
-from symcheck.exact import MultiPoly, PolyMatrix, monomials_of_degree
+from symcheck.exact import (
+    MultiPoly,
+    PolyMatrix,
+    ScalarMatrix,
+    back_substitute,
+    forward_eliminate,
+    monomials_of_degree,
+    reduce_basis,
+)
 from symcheck.groebner import GroebnerBasis, TermOrder, zero_dim_origin
 from symcheck.numerics import (
     ExperimentReport,
@@ -787,6 +797,24 @@ def reference_polynomial_lift(A, pi):
     return PolynomialLift(pi=tuple(pi), Pi=tuple(Pi))
 
 
+def matrix_power(M, e):
+    """M^e for a square PolyMatrix, one product at a time."""
+    out = PolyMatrix.identity(M.rows, M.nvars)
+    for _ in range(e):
+        out = out @ M
+    return out
+
+
+def scale_by_poly(M, q):
+    """Every entry of a PolyMatrix times the polynomial q."""
+    return PolyMatrix([[p * q for p in row] for row in M.entries])
+
+
+def add_matrices(P, Q):
+    """The entrywise sum of two PolyMatrix of one shape."""
+    return PolyMatrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(P.entries, Q.entries)])
+
+
 def reference_annihilator(op, seed=0):
     """Cayley-Hamilton annihilator with each power M^j computed afresh."""
     profile = rank_profile(op, seed=seed)
@@ -802,10 +830,10 @@ def reference_annihilator(op, seed=0):
     shifted = cs_full[l - rho:]
     if not shifted or shifted[0].is_zero:
         raise DegenerateCharpoly("constant coefficient of the rank factor vanishes")
-    B = M.power(rho)
+    B = matrix_power(M, rho)
     for j in range(1, rho):
-        B = B + M.power(j).scale_poly(shifted[j])
-    B = B + PolyMatrix.identity(l, op.N).scale_poly(shifted[0])
+        B = add_matrices(B, scale_by_poly(matrix_power(M, j), shifted[j]))
+    B = add_matrices(B, scale_by_poly(PolyMatrix.identity(l, op.N), shifted[0]))
     sign = (-1) ** rho
     B = B.scale(Fraction(sign))
     assert (B @ sym).is_zero
@@ -813,6 +841,102 @@ def reference_annihilator(op, seed=0):
     b_op = None if B.is_zero else reference_annihilator_op(B, f"ann[{op.name}]", order)
     return Annihilator(op=b_op, order=order, charpoly_coeffs=tuple(shifted),
                        m=l, sign=sign)
+
+
+# ---------------------------------------------------------------------------
+# reference implementations of the exact systems as they were before each
+# was solved once: monomials listed by recursion, one elimination per
+# right-hand side in the solve, the projector and C_beta; the differential
+# tests compare the library with them
+# ---------------------------------------------------------------------------
+
+
+def count_eliminations(monkeypatch):
+    """Patch exact.forward_eliminate to record the column count of each
+    call, and return the list it appends to."""
+    calls = []
+    forward_eliminate = exact.forward_eliminate
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return forward_eliminate(rows, ncols)
+
+    monkeypatch.setattr(exact, "forward_eliminate", counting)
+    return calls
+
+
+def reference_monomials_of_degree(nvars, deg):
+    """Exponent vectors of total degree deg, first entry slowest, by
+    recursion on the variables."""
+    if nvars == 0:
+        return [()] if deg == 0 else []
+    out = []
+    for head in range(deg, -1, -1):
+        for tail in reference_monomials_of_degree(nvars - 1, deg - head):
+            out.append((head,) + tail)
+    return out
+
+
+def reference_solve(m, rhs):
+    """One elimination of [m | rhs]: the solution with free variables zero,
+    or None if infeasible."""
+    n = m.cols
+    rows = [{j: c for j, c in enumerate(row) if c} for row in m.entries]
+    for row, b in zip(rows, rhs):
+        if b:
+            row[n] = Fraction(b)
+    rref = back_substitute(forward_eliminate(rows, n + 1))
+    if n in rref:
+        return None
+    x = [Fraction(0)] * n
+    for pc, row in rref.items():
+        if n in row:
+            x[pc] = row[n]
+    return tuple(x)
+
+
+def reference_projector_onto_complement(B, dim):
+    """Id - B (B^T B)^{-1} B^T, solving the Gram system column by column."""
+    B = reduce_basis(B, dim)
+    if not B:
+        return ScalarMatrix.identity(dim)
+    Bm = ScalarMatrix.from_columns(B)
+    G = Bm.transpose() @ Bm
+    Bt = Bm.transpose()
+    Xcols = [reference_solve(G, [Bt.entries[i][j] for i in range(len(B))])
+             for j in range(dim)]
+    return ScalarMatrix.identity(dim) - Bm @ ScalarMatrix.from_columns(Xcols)
+
+
+def reference_construct_Cbeta(ann, W_basis, l):
+    """C_beta with sum_beta C_beta B_beta = P_{W^perp}, one system per row
+    of the identity."""
+    P = reference_projector_onto_complement(list(W_basis), l)
+    if ann.op is None:
+        if P.is_zero:
+            return {}
+        raise ProjectionInfeasible(
+            "zero annihilator with a nontrivial orthogonal complement", data={"P": P})
+    betas = sorted(ann.op.terms)
+    m = ann.m
+    sys_mat = ScalarMatrix.from_columns(
+        [[ann.op.terms[beta][t][j] for j in range(l)] for beta in betas for t in range(m)])
+    rows_of_C = []
+    for i in range(l):
+        sol = reference_solve(sys_mat, list(P.entries[i]))
+        if sol is None:
+            raise ProjectionInfeasible("projection identity infeasible",
+                                       data={"row": i, "P": P})
+        rows_of_C.append(sol)
+    C_beta = {
+        beta: ScalarMatrix([[rows_of_C[i][b * m + t] for t in range(m)] for i in range(l)])
+        for b, beta in enumerate(betas)
+    }
+    acc = ScalarMatrix.zeros(l, l)
+    for beta, C in C_beta.items():
+        acc = acc + C @ ScalarMatrix(ann.op.terms[beta])
+    assert acc == P
+    return C_beta
 
 
 # ---------------------------------------------------------------------------

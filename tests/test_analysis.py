@@ -9,6 +9,8 @@ import pytest
 from symcheck.exact import MultiPoly, PolyMatrix, ScalarMatrix, monomials_of_degree
 from symcheck.cli import main
 from symcheck.analysis import (
+    DegenerateCharpoly,
+    ProjectionInfeasible,
     _real_constant_rank,
     _sample_points,
     _shell,
@@ -41,16 +43,19 @@ from symcheck.operators import (
     OperatorPair,
     catalog,
     compose,
+    from_symbol,
     grad_power,
     save_op,
 )
 from helpers import (
+    count_eliminations,
     grid_hiding_pair,
     rand_fraction,
     rand_op,
     rand_pencil,
     rand_point,
     rand_poly,
+    reference_construct_Cbeta,
     reference_is_elliptic,
     reference_random_points,
     reference_real_constant_rank,
@@ -598,6 +603,108 @@ class TestClaims:
         rep = compute_W(pair.calA)
         result = verify_L_annihilates_W(cert.L, rep.W_basis, cert.s)
         assert result.holds and result.s_precondition_met
+
+
+def fixed_image_vector():
+    """Symbol [[x1, x2, 0], [0, 0, x1], [0, 0, x2]]: rank 2 at every xi != 0,
+    with e_1 in every image, so W is nonzero and so is the annihilator."""
+    x1, x2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    zero = MultiPoly.zero(2)
+    return from_symbol("fixed_e1", PolyMatrix([[x1, x2, zero], [zero, zero, x1],
+                                               [zero, zero, x2]]), 1)
+
+
+def certificate_operators():
+    """The catalog in N = 2 and 3, an operator with W != 0, and seeded
+    random operators, some of them without complex constant rank."""
+    ops = [catalog(name, N, k) for name in CATALOG_NAMES for N in (2, 3)
+           for k in ((1, 2) if name == "div_k" else (None,))
+           if (name, N) != ("cauchy_riemann", 3)]
+    rng = random.Random(48)
+    ops += [rand_op(rng, N=rng.choice((2, 3)), d=rng.randint(1, 3), l=rng.randint(1, 4), k=1)
+            for _ in range(10)]
+    ops += [rand_op(rng, N=2, d=rng.randint(1, 2), l=rng.randint(1, 3), k=2) for _ in range(5)]
+    return ops + [fixed_image_vector()]
+
+
+class TestCertificateSystems:
+    """The facts that let the annihilator stop its recurrence at step rho,
+    and each certificate system be solved with one elimination."""
+
+    def test_charpoly_vanishes_below_the_rank_gap(self):
+        # M = S S^T has rank <= rho everywhere, and c_{l-rho} is (-1)^rho
+        # times the sum of the squared rho-minors of S (Cauchy-Binet)
+        lacking = 0
+        for op in certificate_operators():
+            sym = op.symbol()
+            rho, l = generic_rank(sym), op.l
+            cs = (sym @ sym.transpose()).charpoly()
+            assert all(c.is_zero for c in cs[:l - rho])
+            squares = sum((m * m for m in sym.minors(rho)), MultiPoly.zero(op.N))
+            assert not squares.is_zero
+            assert cs[l - rho] == squares * (-1) ** rho
+            lacking += not rank_profile(op, want_real=False).constant_rank_C
+        assert lacking >= 5
+
+    def test_annihilator_runs_rho_steps(self, monkeypatch):
+        # S S^T, rho steps of the recurrence and the check B S = 0
+        matmul = PolyMatrix.__matmul__
+        products = []
+
+        def counting(a, b):
+            products.append((a.rows, b.cols))
+            return matmul(a, b)
+
+        monkeypatch.setattr(PolyMatrix, "__matmul__", counting)
+        built = 0
+        for op in certificate_operators():
+            profile = rank_profile(op)
+            products.clear()
+            try:
+                construct_annihilator(op, profile=profile)
+            except DegenerateCharpoly:
+                assert profile.constant_rank_R == CERTIFIED_NO and not products
+                continue
+            assert len(products) == profile.generic_rank + 2
+            built += 1
+        assert built >= 20
+        products.clear()
+        construct_annihilator(catalog("sym_gradient", 3))  # l = 6, rho = 3
+        assert len(products) == 5
+
+    def test_Cbeta_matches_the_reference(self):
+        for op in certificate_operators():
+            try:
+                ann = construct_annihilator(op)
+            except DegenerateCharpoly:
+                continue
+            W = compute_W(op).W_basis
+            assert construct_Cbeta(ann, W, op.l) == reference_construct_Cbeta(ann, W, op.l)
+
+    def test_infeasible_identity_names_the_same_row(self):
+        # without W every row of the identity asks for e_1, which every
+        # B_beta kills
+        op = fixed_image_vector()
+        ann = construct_annihilator(op)
+        with pytest.raises(ProjectionInfeasible) as got:
+            construct_Cbeta(ann, [], op.l)
+        with pytest.raises(ProjectionInfeasible) as ref:
+            reference_construct_Cbeta(ann, [], op.l)
+        assert str(got.value) == str(ref.value)
+        assert got.value.data["row"] == ref.value.data["row"] == 0
+        assert got.value.data["P"] == ref.value.data["P"]
+
+    def test_Cbeta_eliminations_do_not_grow_with_l(self, monkeypatch):
+        # one system for all l rows; a nonzero W adds the projector's two
+        calls = count_eliminations(monkeypatch)
+        ops = [catalog("gradient", N) for N in (2, 3, 4, 5)] + [
+            catalog("sym_gradient", 3), catalog("d2_laplacian", 3), fixed_image_vector()]
+        for op in ops:
+            ann = construct_annihilator(op)
+            W = compute_W(op).W_basis
+            calls.clear()
+            construct_Cbeta(ann, W, op.l)
+            assert len(calls) == (3 if W else 1)
 
 
 class TestPolynomialLift:

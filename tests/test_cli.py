@@ -568,6 +568,26 @@ class TestCatalogCommand:
         err = capsys.readouterr().err
         assert err.startswith("budget exceeded:") and "80601 components" in err
 
+    def test_div_k_in_more_variables_than_the_recursion_limit(self, tmp_path):
+        out = tmp_path / "dk.json"
+        assert main(["catalog", "div_k", "--N", "2000", "--k", "0", "--out", str(out)]) == 0
+        op = operators.load_op(out)
+        assert (op.N, op.d, op.l, op.k) == (2000, 1, 1, 0)
+
+    @pytest.mark.parametrize("name,N,size", [("gradient", "3000", "18000000"),
+                                             ("d2_laplacian", "24", "4154400")])
+    def test_past_the_integer_budget_exits_3(self, capsys, monkeypatch, name, N, size):
+        # refused before the N variables are built
+        def refuse(*args):
+            raise AssertionError("catalog started work past the budget")
+        monkeypatch.setattr(operators.MultiPoly, "variable", refuse)
+        start = time.perf_counter()
+        code = main(["catalog", name, "--N", N])
+        assert time.perf_counter() - start < 0.5
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("budget exceeded:") and f"stores {size} integers" in err
+
     def test_div_k_negative_order_names_k(self, capsys):
         assert main(["catalog", "div_k", "--N", "3", "--k", "-1"]) == 4
         err = capsys.readouterr().err

@@ -8,9 +8,21 @@ from symcheck.exact import (
     monomials_of_degree,
     monomials_up_to_degree,
     projector_onto_complement,
+    reduce_basis,
     subspace_intersect,
 )
-from helpers import rand_fraction, rand_poly, rand_point
+from helpers import (
+    add_matrices,
+    count_eliminations,
+    matrix_power,
+    rand_fraction,
+    rand_poly,
+    rand_point,
+    reference_monomials_of_degree,
+    reference_projector_onto_complement,
+    reference_solve,
+    scale_by_poly,
+)
 
 
 class TestMultiPoly:
@@ -197,6 +209,34 @@ class TestSparseEchelonAgainstDense:
             assert m.solve(rhs) == dense_solve(m.entries, rhs)
 
 
+class TestSolveMany:
+    def test_matches_one_solve_per_column(self):
+        # every rank from 0 to 6 occurs, and so do infeasible columns next
+        # to feasible ones
+        rng = random.Random(19)
+        ranks, infeasible = set(), 0
+        for _ in range(200):
+            m = _random_low_rank(rng, rng.randint(1, 6), rng.randint(1, 6))
+            rhss = [
+                list(m.apply([rand_fraction(rng) for _ in range(m.cols)]))
+                if rng.random() < 0.5 else [rand_fraction(rng) for _ in range(m.rows)]
+                for _ in range(rng.randint(0, 6))
+            ]
+            sols = m.solve_many(rhss)
+            assert sols == [reference_solve(m, b) for b in rhss]
+            assert sols == [dense_solve(m.entries, b) for b in rhss]
+            assert sols == [m.solve(b) for b in rhss]
+            ranks.add(m.rank())
+            infeasible += sols.count(None)
+        assert ranks == set(range(7)) and infeasible > 0
+
+    def test_zero_columns_and_no_columns(self):
+        m = ScalarMatrix([[1, 2], [2, 4]])
+        assert m.solve_many([]) == []
+        assert m.solve_many([[0, 0], [1, 3], [1, 2]]) == [
+            (Fraction(0), Fraction(0)), None, (Fraction(1), Fraction(0))]
+
+
 class TestSubspaces:
     def test_intersection(self):
         rng = random.Random(11)
@@ -219,6 +259,47 @@ class TestSubspaces:
             # kills the spanned subspace exactly
             for b in B:
                 assert all(c == 0 for c in P.apply(b))
+
+    def test_projector_matches_the_reference(self):
+        rng = random.Random(14)
+        for _ in range(60):
+            dim = rng.randint(1, 6)
+            B = [tuple(rand_fraction(rng) if rng.random() < 0.7 else Fraction(0)
+                       for _ in range(dim)) for _ in range(rng.randint(0, dim + 1))]
+            assert projector_onto_complement(B, dim) == reference_projector_onto_complement(B, dim)
+
+    def test_projector_eliminates_twice_in_any_dimension(self, monkeypatch):
+        # the independent subset, then one Gram system for all dim columns
+        calls = count_eliminations(monkeypatch)
+        for dim in range(2, 8):
+            calls.clear()
+            B = [tuple(Fraction(i + j * j) for i in range(dim)) for j in range(2)]
+            projector_onto_complement(B, dim)
+            assert len(calls) == 2
+
+    def test_intersection_of_reduced_inputs_is_independent(self):
+        # (a, b) -> U a is injective on the kernel of [U | -V], so nothing
+        # is dependent or zero and nothing is left for a final reduction
+        rng = random.Random(15)
+        sizes = set()
+        for _ in range(150):
+            dim = rng.randint(1, 6)
+
+            def vectors(k):
+                return [tuple(rand_fraction(rng) if rng.random() < 0.6 else Fraction(0)
+                              for _ in range(dim)) for _ in range(k)]
+
+            common = vectors(rng.randint(0, 2))
+            U = reduce_basis(common + vectors(rng.randint(0, dim)), dim)
+            V = reduce_basis(vectors(rng.randint(0, 2)) + common, dim)
+            inter = subspace_intersect(U, V, dim)
+            assert all(any(v) for v in inter)
+            assert reduce_basis(inter, dim) == inter
+            sizes.add(len(inter))
+            for w in inter:  # in both spans
+                for basis in (U, V):
+                    assert reduce_basis(list(basis) + [w], dim) == list(basis)
+        assert len(sizes) >= 3
 
 
 class TestPolyMatrix:
@@ -272,6 +353,36 @@ class TestPolyMatrix:
             char_direct = PolyMatrix(entries).minors(n)[0]
             for j, c in enumerate(coeffs):
                 assert char_direct.terms.get((j,), Fraction(0)) == c.evaluate(list(x))
+
+
+    def test_faddeev_leverrier_steps(self):
+        # step k: c_{n-k}..c_{n-1} of the charpoly and
+        # M^k + c_{n-1} M^(k-1) + ... + c_{n-k} Id
+        rng = random.Random(20)
+        for _ in range(10):
+            n = rng.randint(1, 4)
+            m = self._random_poly_matrix(rng, n, n, 1)
+            cs = m.charpoly()
+            for k in range(n + 1):
+                coeffs, B = m.faddeev_leverrier(k)
+                assert coeffs == cs[n - k:]
+                expected = matrix_power(m, k)
+                for j in range(1, k + 1):
+                    expected = add_matrices(
+                        expected, scale_by_poly(matrix_power(m, k - j), cs[n - j]))
+                assert B == expected
+
+
+def test_monomials_match_the_recursive_listing():
+    for nvars in range(7):
+        for deg in range(-1, 7):
+            assert monomials_of_degree(nvars, deg) == reference_monomials_of_degree(nvars, deg)
+
+
+def test_monomials_past_the_recursion_limit():
+    assert monomials_of_degree(3000, 0) == [(0,) * 3000]
+    ones = monomials_of_degree(1500, 1)
+    assert len(ones) == 1500 and ones[0][0] == ones[-1][-1] == 1
 
 
 def test_monomial_enumeration_counts():

@@ -6,6 +6,7 @@ import pytest
 from symcheck.exact import MultiPoly
 from symcheck import operators
 from symcheck.operators import (
+    CATALOG_MAX_INTEGERS,
     CATALOG_NAMES,
     DIV_K_MAX_COMPONENTS,
     CatalogBudgetExceeded,
@@ -13,6 +14,7 @@ from symcheck.operators import (
     OperatorFormatError,
     OperatorPair,
     catalog,
+    catalog_integers,
     compose,
     from_symbol,
     grad_power,
@@ -192,6 +194,38 @@ class TestCatalog:
         monkeypatch.setattr(operators, "monomials_of_degree", refuse)
         with pytest.raises(CatalogBudgetExceeded, match=f"{DIV_K_MAX_COMPONENTS + 1} components"):
             catalog("div_k", 2, k=DIV_K_MAX_COMPONENTS)
+
+    def test_integers_in_closed_form(self):
+        # one multi-index of N entries and one l x d matrix per term
+        checked = 0
+        for name in CATALOG_NAMES:
+            for N in range(1, 7):
+                for k in (range(6) if name == "div_k" else (None,)):
+                    try:
+                        op = catalog(name, N, k)
+                    except OperatorFormatError:
+                        continue
+                    assert catalog_integers(name, N, k) == len(op.terms) * (N + op.l * op.d)
+                    checked += 1
+        # five names in every N, curl and sym_gradient in two, cauchy_riemann in one
+        assert checked == 5 * 6 + 2 + 2 + 1 + 6 * 6
+
+    @pytest.mark.parametrize("name,N,size", [("gradient", 3000, 18_000_000),
+                                             ("d2_laplacian", 24, 4_154_400),
+                                             ("div_k", 2_000_000, 2_000_001)])
+    def test_past_the_integer_budget(self, monkeypatch, name, N, size):
+        # refused before the variables or the monomials are built
+        def refuse(*args):
+            raise AssertionError("catalog started work past the budget")
+        monkeypatch.setattr(MultiPoly, "variable", refuse)
+        monkeypatch.setattr(operators, "monomials_of_degree", refuse)
+        with pytest.raises(CatalogBudgetExceeded, match=f"stores {size} integers"):
+            catalog(name, N, 0 if name == "div_k" else None)
+
+    def test_div_k_at_its_component_budget_is_within_the_integer_budget(self):
+        k = DIV_K_MAX_COMPONENTS - 1
+        assert catalog_integers("div_k", 2, k) == CATALOG_MAX_INTEGERS
+        assert catalog("div_k", 2, k).d == DIV_K_MAX_COMPONENTS
 
     @pytest.mark.parametrize("k", [-1, -7])
     def test_div_k_negative_order(self, k):

@@ -12,12 +12,18 @@ checkouts; two runs whose outputs are equal print equal lines.
 First it prints one ``catalog NAME N k sha256`` line for each catalog entry
 of a fixed grid (``k`` is ``-`` when not given), the hash taken over the
 serialized operator or the error text; the benchmark builds only a few
-catalog entries.
+catalog entries. Then it prints one ``certificate LABEL STEP sha256`` line
+for each of ``annihilator``, ``W`` and ``Cbeta`` (``construct_annihilator``,
+``compute_W`` and ``construct_Cbeta``) on every catalog entry of that grid
+in N = 2 and 3 and on a few seeded random operators, the hash taken over
+the canonical text of the result or the error text; the benchmark builds
+these certificates for two operators only.
 """
 
 import argparse
 import hashlib
 import os
+import random
 import shutil
 import sys
 import tempfile
@@ -35,6 +41,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"  # as p
 sys.path[:0] = [str(src), str(ROOT / "perfbench")]
 import symcheck  # noqa: E402
 import workloads  # noqa: E402
+from symcheck import analysis  # noqa: E402
 from symcheck.operators import OperatorFormatError, catalog, serialize_op  # noqa: E402
 
 if not Path(symcheck.__file__).resolve().is_relative_to(src):
@@ -45,13 +52,45 @@ CATALOG_GRID = [(name, N, None) for name in (
     "gradient", "divergence", "curl", "sym_gradient", "laplacian", "bilaplacian",
     "cauchy_riemann", "d2_laplacian", "div_k") for N in range(1, 5)] + [
     ("div_k", N, k) for N in range(1, 5) for k in range(6)]
+certificate_ops = []  # (label, operator): the grid's entries in N = 2 and 3
 for name, N, k in CATALOG_GRID:
     try:
-        text = serialize_op(catalog(name, N, k))
+        op = catalog(name, N, k)
+        text = serialize_op(op)
+        if N in (2, 3):
+            certificate_ops.append((f"{name}/{N}/{'-' if k is None else k}", op))
     except OperatorFormatError as exc:
         text = f"OperatorFormatError: {exc}"
     digest = hashlib.sha256(text.encode()).hexdigest()
     print("catalog", name, N, "-" if k is None else k, digest, flush=True)
+
+
+def outcome(fn, *args):
+    """The value of fn(*args) and its canonical text, or None and the error
+    text (with the data that the error carries)."""
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        return None, f"{type(exc).__name__}: {exc} {workloads.canon(getattr(exc, 'data', None))}"
+    return value, workloads.canon(value)
+
+
+# (N, d, l, k, planted, definite): l > d and l < d, order 2, a real rank drop
+# planted at (1, -2), and a definite first entry with no real rank drop
+RANDOM_SHAPES = [(2, 2, 3, 1, None, False), (3, 2, 4, 1, None, False),
+                 (3, 3, 2, 1, None, False), (2, 2, 2, 2, None, False),
+                 (2, 2, 3, 1, (1, -2), False), (2, 1, 2, 2, None, True)]
+for seed, (N, d, l, k, planted, definite) in enumerate(RANDOM_SHAPES, 1):
+    op = workloads.random_op(random.Random(seed), f"random{seed}", N, d, l, k, planted, definite)
+    certificate_ops.append((f"random{seed}/{N}/{k}", op))
+for label, op in certificate_ops:
+    ann, ann_text = outcome(analysis.construct_annihilator, op)
+    W, W_text = outcome(analysis.compute_W, op)
+    cbeta_text = "needs an annihilator and W"
+    if ann is not None and W is not None:
+        cbeta_text = outcome(analysis.construct_Cbeta, ann, W.W_basis, op.l)[1]
+    for step, text in (("annihilator", ann_text), ("W", W_text), ("Cbeta", cbeta_text)):
+        print("certificate", label, step, hashlib.sha256(text.encode()).hexdigest(), flush=True)
 
 for name in ("certify", "refute", "numerics"):
     for seed in args.seeds:
