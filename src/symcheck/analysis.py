@@ -31,7 +31,6 @@ from .groebner import GroebnerBasis, TermOrder, zero_dim_origin
 from .operators import (
     DiffOp,
     OperatorPair,
-    compose,
     from_symbol,
     grad_power,
     multi_index,
@@ -693,56 +692,47 @@ def verify_L_annihilates_W(L: DiffOp, W_basis: Sequence[Sequence], s: int) -> WA
 # ---------------------------------------------------------------------------
 
 
-def _constant_case_lift(op: DiffOp, c: Sequence) -> list:
-    """Solve c = sum_alpha A_alpha v_alpha; return {alpha: v_alpha} or None."""
-    alphas = sorted(op.terms)
-    cols = []
-    for alpha in alphas:
-        m = op.terms[alpha]
-        for j in range(op.d):
-            cols.append([m[i][j] for i in range(op.l)])
-    sys_mat = ScalarMatrix.from_columns(cols)
-    sol = sys_mat.solve(list(c))
-    if sol is None:
-        return None
-    out = {}
-    for a_idx, alpha in enumerate(alphas):
-        out[alpha] = tuple(sol[a_idx * op.d + j] for j in range(op.d))
-    return out
-
-
 def polynomial_lift(A: DiffOp, pi: Sequence[MultiPoly]) -> PolynomialLift:
     """Polynomial Pi with A Pi = pi and deg Pi <= deg pi + k (exact).
 
-    Each homogeneous component of degree s is lifted through the constant
-    case for D^s o A, following the inductive argument; the identity
-    A Pi = pi is re-verified by formal differentiation.
+    Write the degree-(s + k) part of Pi as sum_alpha x^alpha v_alpha / alpha!.
+    The coefficient of x^beta (|beta| = s) in row i of A Pi, times beta!, is
+    sum_gamma A_gamma[i] v_(beta+gamma), so each degree s is one linear
+    system of C(N+s-1, s) l rows read off the coefficients of A; the
+    identity A Pi = pi is re-verified by formal differentiation.
     """
     if len(pi) != A.l:
         raise ValueError("target dimension mismatch")
-    N = A.N
+    N, d = A.N, A.d
     deg = max((p.degree() for p in pi), default=-1)
-    Pi = [MultiPoly.zero(N) for _ in range(A.d)]
-    for s in range(0, max(deg, -1) + 1):
-        comp = [p.homogeneous_component(s) for p in pi]
-        if all(p.is_zero for p in comp):
+    Pi = [MultiPoly.zero(N) for _ in range(d)]
+    for s in range(deg + 1):
+        betas = monomials_of_degree(N, s)
+        c = [math.prod(map(math.factorial, beta)) * p.terms.get(beta, 0)
+             for beta in betas for p in pi]
+        if not any(c):
             continue
-        T = compose(grad_power(s, A.l, N), A)
-        # constant target: all order-s derivatives of the component
-        c = [
-            p.derivative_multi(multi_index(b, N)).terms.get((0,) * N, Fraction(0))
-            for b in ordered_tuples(N, s)
-            for p in comp
-        ]
-        valphas = _constant_case_lift(T, c)
-        if valphas is None:
+        # for each beta, the coefficient matrix A_gamma of each beta + gamma
+        shifted = [{tuple(b + g for b, g in zip(beta, gamma)): m for gamma, m in A.terms.items()}
+                   for beta in betas]
+        alphas = sorted(set().union(*shifted))
+        col = {alpha: a * d for a, alpha in enumerate(alphas)}
+        rows = []
+        for by_alpha in shifted:
+            for i in range(A.l):
+                row = [0] * (len(alphas) * d)
+                for alpha, m in by_alpha.items():
+                    row[col[alpha]:col[alpha] + d] = m[i]
+                rows.append(row)
+        v = ScalarMatrix(rows).solve(c)
+        if v is None:
             raise NotInImage(
                 f"homogeneous component of degree {s} is not in the image"
             )
-        for alpha, v in valphas.items():
+        for alpha, a in col.items():
             scale = Fraction(1, math.prod(map(math.factorial, alpha)))
             mono = MultiPoly.monomial(N, alpha, scale)
-            Pi = [q + mono * v_j for q, v_j in zip(Pi, v)]
+            Pi = [q + mono * v_j for q, v_j in zip(Pi, v[a:a + d])]
     check = A.apply_to_poly(Pi)
     if list(check) != list(pi):
         raise AssertionError("polynomial lift failed exact verification")

@@ -534,20 +534,13 @@ def _bareiss_det(m: list[list[MultiPoly]]) -> MultiPoly:
 
 def reduce_basis(vectors: Sequence[Sequence], dim: int) -> list[tuple]:
     """Independent subset spanning the same subspace (possibly empty)."""
-    vecs = [tuple(Fraction(c) if isinstance(c, int) else c for c in v) for v in vectors]
-    if not vecs:
-        return []
-    mat = ScalarMatrix.from_columns(vecs) if len(vecs[0]) == dim else None
-    if mat is None:
+    if any(len(v) != dim for v in vectors):
         raise ValueError("ambient dimension mismatch")
-    pivots = forward_eliminate(mat._sparse_rows(), mat.cols)
-    return [vecs[c] for c in sorted(pivots)]
+    return ScalarMatrix.from_columns(vectors).column_space_basis() if vectors else []
 
 
 def subspace_intersect(U: Sequence[Sequence], V: Sequence[Sequence], dim: int) -> list[tuple]:
-    """Basis of span(U) ∩ span(V) inside Q^dim."""
-    U = reduce_basis(U, dim)
-    V = reduce_basis(V, dim)
+    """Basis of span(U) ∩ span(V) inside Q^dim, for independent U and V."""
     if not U or not V:
         return []
     # Solve U a = V b: kernel of [U | -V] stacked column-wise.
@@ -579,7 +572,7 @@ def projector_onto_complement(B: Sequence[Sequence], dim: int) -> ScalarMatrix:
 
 
 class PolyMatrix:
-    """Matrix of MultiPoly entries, optionally tagged homogeneous."""
+    """Matrix of MultiPoly entries."""
 
     __slots__ = ("rows", "cols", "nvars", "entries")
 
@@ -671,22 +664,6 @@ class PolyMatrix:
                 acc = acc + p * c
             out.append(acc)
         return out
-
-    def homogeneous_degree(self):
-        """Common degree of all nonzero entries, or None."""
-        degs = {
-            p.homogeneous_degree()
-            for row in self.entries
-            for p in row
-            if not p.is_zero
-        }
-        if None in degs:
-            return None
-        if not degs:
-            return -1
-        if len(degs) == 1:
-            return degs.pop()
-        return None
 
     def minors(self, size: int) -> list[MultiPoly]:
         """All size x size minor determinants, via Bareiss elimination."""

@@ -55,9 +55,6 @@ class TermOrder:
             raise ValueError(f"unknown term order {kind!r}")
         self.kind = kind
 
-    def key(self, exp: tuple[int, ...]):
-        return grevlex_key(exp)
-
     def module_key(self, term: tuple[int, tuple[int, ...]]):
         pos, exp = term
         return (sum(exp), -pos, grevlex_key(exp))

@@ -354,21 +354,17 @@ def _fraction_to_str(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator)
 
 
-def _fraction_from_str(s: str) -> Fraction:
+def _fraction_from_str(s: str, where: str) -> Fraction:
+    """The rational in s; a malformed one is reported at `where`, its field."""
     s = s.strip()
-    if "/" in s:
-        num, den = s.split("/", 1)
-        try:
-            num_i, den_i = int(num), int(den)
-        except ValueError as e:
-            raise OperatorFormatError(f"malformed rational {s!r}") from e
-        if den_i == 0:
-            raise OperatorFormatError(f"zero denominator in rational {s!r}")
-        return Fraction(num_i, den_i)
+    num, slash, den = s.partition("/")
     try:
-        return Fraction(int(s))
-    except ValueError as e:
-        raise OperatorFormatError(f"malformed rational {s!r}") from e
+        num_i, den_i = int(num), int(den) if slash else 1
+    except ValueError as e:  # also past Python's integer digit limit
+        raise OperatorFormatError(f"{where}: malformed rational {s!r}") from e
+    if den_i == 0:
+        raise OperatorFormatError(f"{where}: zero denominator in rational {s!r}")
+    return Fraction(num_i, den_i)
 
 
 def op_to_dict(op: DiffOp) -> dict:
@@ -432,12 +428,13 @@ def op_from_dict(data: dict) -> DiffOp:
             )
         if alpha in terms:
             raise OperatorFormatError(f"duplicate multi-index {alpha}")
-        terms[alpha] = [[_fraction_from_str(c) for c in row] for row in matrix]
+        terms[alpha] = [[_fraction_from_str(c, f"terms[{i}].matrix[{r}][{j}]") for j, c in enumerate(row)]
+                        for r, row in enumerate(matrix)]
     weights = data.get("weights")
     if weights is not None:
         if not isinstance(weights, list) or not all(isinstance(w, str) for w in weights):
             raise OperatorFormatError("weights must be a list of rational strings")
-        weights = [_fraction_from_str(w) for w in weights]
+        weights = [_fraction_from_str(w, f"weights[{j}]") for j, w in enumerate(weights)]
     return DiffOp(data["name"], N, d, l, k, terms, weights)
 
 

@@ -21,7 +21,6 @@ from symcheck.analysis import (
     NotInImage,
     PolynomialLift,
     SMaxExceeded,
-    _constant_case_lift,
     rank_profile,
 )
 from symcheck.exact import (
@@ -96,6 +95,24 @@ def rand_op(rng, N=2, d=None, l=None, k=None, span=2, density=0.7):
                 terms[alpha] = m
         if terms:
             return DiffOp("random", N, d, l, k, terms)
+
+
+def rand_rational_op(rng, N, d, l, k):
+    """Random operator of order k >= 0 with rational coefficients, never
+    zero."""
+    while True:
+        terms = {alpha: [[rand_fraction(rng) if rng.random() < 0.7 else Fraction(0)
+                          for _ in range(d)] for _ in range(l)]
+                 for alpha in monomials_of_degree(N, k) if rng.random() < 0.8}
+        if any(c for m in terms.values() for row in m for c in row):
+            return DiffOp("random", N, d, l, k, terms)
+
+
+def rand_field(rng, N, d, degree):
+    """d random polynomials of degree at most `degree`, with rational
+    coefficients and a few terms in each degree."""
+    return [sum((rand_homogeneous(rng, N, t) * rand_fraction(rng) for t in range(degree + 1)),
+                MultiPoly.zero(N)) for _ in range(d)]
 
 
 def rand_point(rng, N, span=5):
@@ -763,6 +780,21 @@ def _reference_assemble_L(pair, coeff_rows, gen_rows, s):
                   N, l_calA, n_rows, order_L, terms)
 
 
+def _constant_case_lift(op, c):
+    """Solve c = sum_alpha A_alpha v_alpha; return {alpha: v_alpha} or None."""
+    alphas = sorted(op.terms)
+    cols = []
+    for alpha in alphas:
+        m = op.terms[alpha]
+        for j in range(op.d):
+            cols.append([m[i][j] for i in range(op.l)])
+    sol = ScalarMatrix.from_columns(cols).solve(list(c))
+    if sol is None:
+        return None
+    return {alpha: tuple(sol[a * op.d + j] for j in range(op.d))
+            for a, alpha in enumerate(alphas)}
+
+
 def reference_polynomial_lift(A, pi):
     """Lift of pi through A, the degree-0 component through A itself."""
     N = A.N
@@ -846,8 +878,9 @@ def reference_annihilator(op, seed=0):
 # ---------------------------------------------------------------------------
 # reference implementations of the exact systems as they were before each
 # was solved once: monomials listed by recursion, one elimination per
-# right-hand side in the solve, the projector and C_beta; the differential
-# tests compare the library with them
+# right-hand side in the solve, the projector and C_beta, and the
+# intersection reducing its inputs again; the differential tests compare the
+# library with them
 # ---------------------------------------------------------------------------
 
 
@@ -893,6 +926,17 @@ def reference_solve(m, rhs):
         if n in row:
             x[pc] = row[n]
     return tuple(x)
+
+
+def reference_subspace_intersect(U, V, dim):
+    """span(U) ∩ span(V), reducing both inputs first."""
+    U = reduce_basis(U, dim)
+    V = reduce_basis(V, dim)
+    if not U or not V:
+        return []
+    M = ScalarMatrix.from_columns([list(u) for u in U] + [[-c for c in v] for v in V])
+    return [tuple(sum(ai * u[i] for ai, u in zip(sol, U)) for i in range(dim))
+            for sol in M.kernel_basis()]
 
 
 def reference_projector_onto_complement(B, dim):

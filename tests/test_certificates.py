@@ -1,11 +1,12 @@
 """Differential tests: the certificates equal those of the reference
 constructions in helpers.py, as objects and as serialized operators."""
 
+import math
 import random
 
 import pytest
 
-from symcheck import analysis
+from symcheck import analysis, operators
 from symcheck.analysis import (
     DegenerateCharpoly,
     HypothesesNotMet,
@@ -15,8 +16,10 @@ from symcheck.analysis import (
     kernel_inclusion,
     polynomial_lift,
 )
-from symcheck.exact import MultiPoly
+from symcheck.exact import MultiPoly, PolyMatrix, ScalarMatrix
 from symcheck.operators import (
+    CATALOG_NAMES,
+    OperatorFormatError,
     OperatorPair,
     catalog,
     from_symbol,
@@ -27,8 +30,10 @@ from symcheck.operators import (
 from helpers import (
     assert_same_operator,
     catalog_pair_grid,
+    rand_field,
     rand_op,
     rand_poly,
+    rand_rational_op,
     reference_annihilator,
     reference_annihilator_op,
     reference_construct_L,
@@ -136,6 +141,104 @@ class TestLiftMatchesReference:
         for lift in (polynomial_lift, reference_polynomial_lift):
             with pytest.raises(NotInImage):
                 lift(g, pi_bad)
+
+    @staticmethod
+    def outcome(lift, A, pi):
+        try:
+            return lift(A, pi)
+        except NotInImage as exc:
+            return f"NotInImage: {exc}"
+
+    def assert_same_lifts(self, A, rng, degrees):
+        """Both lifts of a target in the image and of a random target, in
+        each degree; returns how many random targets were infeasible."""
+        infeasible = 0
+        for t in degrees:
+            for pi in (A.apply_to_poly(rand_field(rng, A.N, A.d, t + A.k)),
+                       rand_field(rng, A.N, A.l, t)):
+                lift = self.outcome(polynomial_lift, A, pi)
+                assert lift == self.outcome(reference_polynomial_lift, A, pi)
+                infeasible += isinstance(lift, str)
+        return infeasible
+
+    def test_every_catalog_entry_in_two_and_three_variables(self):
+        rng = random.Random(47)
+        names = [(name, None) for name in CATALOG_NAMES if name != "div_k"] + [
+            ("div_k", k) for k in range(6)]
+        built = infeasible = 0
+        for N in (2, 3):
+            for name, k in names:
+                try:
+                    A = catalog(name, N, k)
+                except OperatorFormatError:
+                    continue
+                built += 1
+                infeasible += self.assert_same_lifts(A, rng, range(4))
+        assert built == 27 and infeasible >= 10
+
+    def test_target_degrees_up_to_five(self):
+        rng = random.Random(48)
+        for A in (catalog("gradient", 2), catalog("sym_gradient", 2), catalog("curl", 3),
+                  catalog("divergence", 3), catalog("cauchy_riemann", 2)):
+            self.assert_same_lifts(A, rng, [4, 5] if A.N == 2 or A.l == 1 else [4])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_rational_operators(self, seed):
+        # l < d and l > d, in the orders A takes in korn pairs (1, 2) and in
+        # sobolev pairs (0, 1)
+        rng = random.Random(seed)
+        infeasible = 0
+        for N, d, l, k in [(2, 3, 1, 1), (2, 1, 3, 1), (3, 2, 1, 2), (2, 1, 2, 2),
+                           (2, 3, 2, 0), (3, 2, 3, 0), (3, 3, 2, 1), (2, 2, 3, 1)]:
+            A = rand_rational_op(rng, N, d, l, k)
+            infeasible += self.assert_same_lifts(A, rng, range(4))
+        assert infeasible >= 5
+
+    def test_infeasible_only_in_a_positive_degree(self):
+        x = [MultiPoly.variable(2, i) for i in range(2)]
+        one, zero = MultiPoly.const(2, 1), MultiPoly.zero(2)
+        # the gradient: (x_2, 0) has nonzero curl; sym_gradient: a strain
+        # with e_11 = x_2^2 breaks Saint-Venant compatibility, and every
+        # strain of degree 0 or 1 is compatible
+        for A, low, high, s in [
+                (catalog("gradient", 2), [one, zero], [x[1], zero], 1),
+                (catalog("sym_gradient", 2), [one, x[0], x[1]], [x[1] * x[1], zero, zero], 2)]:
+            polynomial_lift(A, low)
+            pi = [p + q for p, q in zip(low, high)]
+            message = f"NotInImage: homogeneous component of degree {s} is not in the image"
+            assert self.outcome(polynomial_lift, A, pi) == message
+            assert self.outcome(reference_polynomial_lift, A, pi) == message
+
+    def test_one_system_per_degree_and_no_operator(self, monkeypatch):
+        # each degree s is one system of C(N+s-1, s) l rows, read off the
+        # coefficients of A: no operator D^s o A and no matrix product
+        rng = random.Random(49)
+        cases = []
+        for A in (catalog("sym_gradient", 3), catalog("curl", 3), catalog("laplacian", 2),
+                  rand_rational_op(rng, 2, 2, 3, 1)):
+            pi = A.apply_to_poly(rand_field(rng, A.N, A.d, 3 + A.k))
+            rows = [math.comb(A.N + s - 1, s) * A.l for s in range(4)
+                    if any(p.homogeneous_component(s) for p in pi)]
+            cases.append((A, pi, rows))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the lift built an operator or a matrix product")
+
+        monkeypatch.setattr(operators, "from_symbol", refuse)
+        monkeypatch.setattr(analysis, "from_symbol", refuse)
+        monkeypatch.setattr(PolyMatrix, "__matmul__", refuse)
+        sizes = []
+        solve = ScalarMatrix.solve
+
+        def counting(self, rhs):
+            sizes.append(self.rows)
+            return solve(self, rhs)
+
+        monkeypatch.setattr(ScalarMatrix, "solve", counting)
+        for A, pi, rows in cases:
+            sizes.clear()
+            polynomial_lift(A, pi)
+            assert sizes == rows and len(rows) >= 3
 
 
 class TestAnnihilatorMatchesReference:

@@ -153,6 +153,12 @@ class TestMalformedInput:
         code, err = self.run(tmp_path, capsys, data)
         assert code == 4 and "name must be a string" in err
 
+    def test_decimal_entry_names_its_field(self, tmp_path, capsys):
+        data = self.gradient_dict()
+        data["terms"][1]["matrix"][1][0] = "0.5"
+        code, err = self.run(tmp_path, capsys, data)
+        assert code == 4 and "terms[1].matrix[1][0]: malformed rational '0.5'" in err
+
     def test_negative_weights(self, tmp_path, capsys):
         data = op_to_dict(catalog("sym_gradient", 2))
         data["weights"] = ["-1", "1", "2"]

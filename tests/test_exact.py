@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from symcheck.exact import (
     MultiPoly,
     PolyMatrix,
@@ -20,6 +22,7 @@ from helpers import (
     rand_point,
     reference_monomials_of_degree,
     reference_projector_onto_complement,
+    reference_subspace_intersect,
     reference_solve,
     scale_by_poly,
 )
@@ -300,6 +303,59 @@ class TestSubspaces:
                 for basis in (U, V):
                     assert reduce_basis(list(basis) + [w], dim) == list(basis)
         assert len(sizes) >= 3
+
+
+    @staticmethod
+    def independent_pair(rng, dim):
+        """Two independent lists in Q^dim sharing some vectors of their spans."""
+        def vectors(k):
+            return [tuple(rand_fraction(rng) if rng.random() < 0.6 else Fraction(0)
+                          for _ in range(dim)) for _ in range(k)]
+
+        common = vectors(rng.randint(0, 2))
+        return (reduce_basis(common + vectors(rng.randint(0, dim)), dim),
+                reduce_basis(vectors(rng.randint(0, 2)) + common, dim))
+
+    def test_intersection_matches_the_reference(self):
+        rng = random.Random(16)
+        for _ in range(150):
+            dim = rng.randint(1, 6)
+            U, V = self.independent_pair(rng, dim)
+            assert subspace_intersect(U, V, dim) == reference_subspace_intersect(U, V, dim)
+
+    def test_intersection_eliminates_once(self, monkeypatch):
+        # the kernel of [U | -V] only; the reference reduces U and V first
+        rng = random.Random(17)
+        calls = count_eliminations(monkeypatch)
+        for dim in range(2, 8):
+            U, V = [], []
+            while not U or not V:
+                U, V = self.independent_pair(rng, dim)
+            calls.clear()
+            subspace_intersect(U, V, dim)
+            assert len(calls) == 1
+            calls.clear()
+            reference_subspace_intersect(U, V, dim)
+            assert len(calls) == 3
+
+    def test_reduce_basis_checks_every_length(self):
+        # a longer vector after the first: not a 3-vector in the basis, nor
+        # a zero projector; a shorter one: not an IndexError
+        for vectors, dim in [([(1, 0), (0, 1, 7)], 2), ([(1, 0, 0), (0, 1)], 3),
+                             ([(0, 1, 7)], 2)]:
+            with pytest.raises(ValueError, match="ambient dimension mismatch"):
+                reduce_basis(vectors, dim)
+            with pytest.raises(ValueError, match="ambient dimension mismatch"):
+                projector_onto_complement(vectors, dim)
+
+    def test_reduce_basis_is_the_column_space_basis(self):
+        rng = random.Random(18)
+        for _ in range(60):
+            dim = rng.randint(1, 5)
+            vs = [tuple(rng.choice((0, 0, 1, -2)) for _ in range(dim))
+                  for _ in range(rng.randint(1, 6))]
+            assert reduce_basis(vs, dim) == ScalarMatrix.from_columns(vs).column_space_basis()
+        assert reduce_basis([], 3) == []
 
 
 class TestPolyMatrix:

@@ -347,6 +347,28 @@ class TestSerialization:
         with pytest.raises(OperatorFormatError, match="malformed rational"):
             op_from_dict(data)
 
+    def test_malformed_rational_names_its_field(self):
+        for (t, r, c), entry, message in [
+                ((1, 2, 0), "0.5", "malformed rational '0.5'"),
+                ((0, 0, 1), "3/0", "zero denominator in rational '3/0'"),
+                ((1, 0, 0), "1/", "malformed rational '1/'")]:
+            data = op_to_dict(catalog("sym_gradient", 2))
+            data["terms"][t]["matrix"][r][c] = entry
+            with pytest.raises(OperatorFormatError) as err:
+                op_from_dict(data)
+            assert str(err.value) == f"terms[{t}].matrix[{r}][{c}]: {message}"
+        data = op_to_dict(catalog("sym_gradient", 2))
+        data["weights"][2] = "two"
+        with pytest.raises(OperatorFormatError) as err:
+            op_from_dict(data)
+        assert str(err.value) == "weights[2]: malformed rational 'two'"
+
+    def test_entry_past_the_digit_limit_names_its_field(self):
+        data = op_to_dict(catalog("gradient", 2))
+        data["terms"][0]["matrix"][1][0] = "7" * 5000
+        with pytest.raises(OperatorFormatError, match=r"^terms\[0\]\.matrix\[1\]\[0\]: malformed rational"):
+            op_from_dict(data)
+
     def test_order_mismatch_diagnostic(self):
         data = op_to_dict(catalog("gradient", 2))
         data["terms"].append({"alpha": [1, 1], "matrix": [["1"], ["0"]]})

@@ -17,7 +17,10 @@ for each of ``annihilator``, ``W`` and ``Cbeta`` (``construct_annihilator``,
 ``compute_W`` and ``construct_Cbeta``) on every catalog entry of that grid
 in N = 2 and 3 and on a few seeded random operators, the hash taken over
 the canonical text of the result or the error text; the benchmark builds
-these certificates for two operators only.
+these certificates for two operators only. Last come ``lift LABEL sha256``
+lines: ``polynomial_lift`` of a seeded target of each degree 0 to 4 in the
+image of each of those catalog entries, and of one target that is not in
+the image, hashed the same way; the benchmark lifts two targets per seed.
 """
 
 import argparse
@@ -27,6 +30,7 @@ import random
 import shutil
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,6 +46,7 @@ sys.path[:0] = [str(src), str(ROOT / "perfbench")]
 import symcheck  # noqa: E402
 import workloads  # noqa: E402
 from symcheck import analysis  # noqa: E402
+from symcheck.exact import MultiPoly, monomials_of_degree  # noqa: E402
 from symcheck.operators import OperatorFormatError, catalog, serialize_op  # noqa: E402
 
 if not Path(symcheck.__file__).resolve().is_relative_to(src):
@@ -80,6 +85,7 @@ def outcome(fn, *args):
 RANDOM_SHAPES = [(2, 2, 3, 1, None, False), (3, 2, 4, 1, None, False),
                  (3, 3, 2, 1, None, False), (2, 2, 2, 2, None, False),
                  (2, 2, 3, 1, (1, -2), False), (2, 1, 2, 2, None, True)]
+catalog_ops = list(certificate_ops)
 for seed, (N, d, l, k, planted, definite) in enumerate(RANDOM_SHAPES, 1):
     op = workloads.random_op(random.Random(seed), f"random{seed}", N, d, l, k, planted, definite)
     certificate_ops.append((f"random{seed}/{N}/{k}", op))
@@ -91,6 +97,26 @@ for label, op in certificate_ops:
         cbeta_text = outcome(analysis.construct_Cbeta, ann, W.W_basis, op.l)[1]
     for step, text in (("annihilator", ann_text), ("W", W_text), ("Cbeta", cbeta_text)):
         print("certificate", label, step, hashlib.sha256(text.encode()).hexdigest(), flush=True)
+
+
+def lift_target(rng, op, degree):
+    """op applied to a field with one seeded term in each degree up to
+    degree + k: a target of degree at most `degree` in the image of op."""
+    field = [MultiPoly(op.N, {rng.choice(monomials_of_degree(op.N, t)): Fraction(rng.randint(1, 9))
+                              for t in range(degree + op.k + 1)}) for _ in range(op.d)]
+    return op.apply_to_poly(field)
+
+
+rng = random.Random(0)
+for label, op in catalog_ops:
+    for degree in range(5):
+        text = outcome(analysis.polynomial_lift, op, lift_target(rng, op, degree))[1]
+        print("lift", f"{label}/{degree}", hashlib.sha256(text.encode()).hexdigest(), flush=True)
+# a strain whose e_11 = x_2^2 breaks Saint-Venant compatibility in degree 2
+x1, x2 = (MultiPoly.monomial(2, e) for e in ((1, 0), (0, 1)))
+strain = [1 + x2 * x2, x1, MultiPoly.zero(2)]
+text = outcome(analysis.polynomial_lift, catalog("sym_gradient", 2), strain)[1]
+print("lift", "sym_gradient/2/-/incompatible", hashlib.sha256(text.encode()).hexdigest(), flush=True)
 
 for name in ("certify", "refute", "numerics"):
     for seed in args.seeds:
