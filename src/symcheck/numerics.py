@@ -279,6 +279,67 @@ def _symbol_quotient_norm(pair: OperatorPair):
 # memory stays bounded for any number of samples.
 KORN2_BLOCK = 1024
 
+# Golden-section steps korn_constant_p2 takes per stacked call: the call holds
+# every point those steps could ask for, 1 + 2 + 4 of them.
+KORN2_LOOKAHEAD = 3
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_step(a, b, left, right, up):
+    """One golden-section step on [a, b] with inner points left < right: keep
+    [left, b] if ``up`` (the value at right is the larger), else [a, right].
+    Returns the new (a, b, left, right) and the point the step asks for."""
+    if up:
+        a = left
+        new = a + _INVPHI * (b - a)
+        return (a, b, right, new), new
+    b = right
+    new = a + (1 - _INVPHI) * (b - a)
+    return (a, b, new, left), new
+
+
+def _golden_section(values_at, h: float, steps: int):
+    """Golden-section search for the largest value on [-h, h]: the inner
+    pair, ``steps`` >= 1 steps, then the midpoint of the last interval.
+
+    ``values_at`` maps a list of thetas to their values in one stacked call.
+    A call holds every point the next KORN2_LOOKAHEAD steps could ask for
+    (the midpoint rides with the last step), and the search then walks the
+    path that the values choose. Every theta has the bits of the one-step
+    loop. Returns the midpoint and the largest of its value and the last
+    pair's.
+    """
+    a, b = -h, h
+    state = (a, b, a + (1 - _INVPHI) * (b - a), a + _INVPHI * (b - a))
+    v_left, v_right = values_at(state[2:])
+    for start in range(0, steps, KORN2_LOOKAHEAD):
+        depth = min(KORN2_LOOKAHEAD, steps - start)
+        # each state the next steps reach, keyed by the comparisons on the way
+        # there; the first comparison is known already
+        reach = {(v_left < v_right,): _golden_step(*state, v_left < v_right)}
+        paths = list(reach)
+        for _ in range(depth - 1):
+            paths = [path + (up,) for path in paths for up in (True, False)]
+            for path in paths:
+                reach[path] = _golden_step(*reach[path[:-1]][0], path[-1])
+        thetas = [new for _, new in reach.values()]
+        if start + depth == steps:
+            thetas += [(reach[path][0][0] + reach[path][0][1]) / 2 for path in paths]
+        values = values_at(thetas)
+        value = dict(zip(reach, values))
+        path = ()
+        for _ in range(depth):
+            path += (v_left < v_right,)
+            state = reach[path][0]
+            if path[-1]:
+                v_left, v_right = v_right, value[path]
+            else:
+                v_left, v_right = value[path], v_left
+    midpoint = values[len(reach) + paths.index(path)]
+    theta = (state[0] + state[1]) / 2
+    return theta, max(midpoint, v_left, v_right)
+
 
 def korn_constant_p2(
     pair: OperatorPair,
@@ -316,9 +377,8 @@ def korn_constant_p2(
             if val > best_val:
                 best_val, best_xi = val, xi
     # local golden-section refinement along tangent directions
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     h = 0.5
-    for it in range(refine_iters):
+    for _ in range(refine_iters):
         t = rng.standard_normal(N)
         t -= t @ best_xi * best_xi
         norm_t = np.linalg.norm(t)
@@ -326,27 +386,11 @@ def korn_constant_p2(
             continue
         t /= norm_t
 
-        def val_at(theta):
-            x = math.cos(theta) * best_xi + math.sin(theta) * t
-            return quotient_norm(x[None])[0]
+        def values_at(thetas):
+            return quotient_norm(np.array(
+                [math.cos(theta) * best_xi + math.sin(theta) * t for theta in thetas]))
 
-        a, b = -h, h
-        fa_left = a + (1 - invphi) * (b - a)
-        fa_right = a + invphi * (b - a)
-        v_left, v_right = val_at(fa_left), val_at(fa_right)
-        for _ in range(40):
-            if v_left < v_right:
-                a = fa_left
-                fa_left, v_left = fa_right, v_right
-                fa_right = a + invphi * (b - a)
-                v_right = val_at(fa_right)
-            else:
-                b = fa_right
-                fa_right, v_right = fa_left, v_left
-                fa_left = a + (1 - invphi) * (b - a)
-                v_left = val_at(fa_left)
-        theta = (a + b) / 2
-        cand = max(val_at(theta), v_left, v_right)
+        theta, cand = _golden_section(values_at, h, 40)
         if cand > best_val:
             best_val = cand
             best_xi = math.cos(theta) * best_xi + math.sin(theta) * t
@@ -439,11 +483,20 @@ class TrigField:
         return [_phase(X, m) for m in self.coeffs]
 
     def values_from(self, phases: list, n_grid: int) -> np.ndarray:
-        """u on the n_grid^N grid whose ``phases`` are given."""
-        vals = np.zeros((n_grid,) * self.N + (self.d,))
+        """u on the n_grid^N grid whose ``phases`` are given, shape
+        (n_grid,)*N + (d,) in C order.
+
+        The modes are summed into a (d, n_grid, ..., n_grid) array, so that
+        numpy's inner loop runs over grid points rather than over the d
+        components; each value is the same complex product as in point-major
+        order. The result is copied back to C order, since a sum over the
+        last axis of the strided view adds 8 or more components in another
+        order."""
+        vals = np.zeros((self.d,) + (n_grid,) * self.N)
+        shape = (self.d,) + (1,) * self.N
         for c, phase in zip(self.coeffs.values(), phases):
-            vals += np.real(c * phase[..., None])
-        return vals
+            vals += (c.reshape(shape) * phase).real
+        return np.ascontiguousarray(vals.transpose(*range(1, self.N + 1), 0))
 
     def sample(self, n_grid: int, domain: str = "torus") -> GridField:
         phases = self.phases(grid_points(self.N, n_grid))

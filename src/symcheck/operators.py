@@ -354,6 +354,17 @@ def _fraction_to_str(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator)
 
 
+# Characters of a malformed entry that its error message quotes.
+QUOTED_ENTRY_CHARS = 32
+
+
+def _quoted(s: str) -> str:
+    """s quoted, or its first QUOTED_ENTRY_CHARS characters and its length."""
+    if len(s) <= QUOTED_ENTRY_CHARS:
+        return repr(s)
+    return f"{s[:QUOTED_ENTRY_CHARS]!r}... ({len(s)} characters)"
+
+
 def _fraction_from_str(s: str, where: str) -> Fraction:
     """The rational in s; a malformed one is reported at `where`, its field."""
     s = s.strip()
@@ -361,9 +372,9 @@ def _fraction_from_str(s: str, where: str) -> Fraction:
     try:
         num_i, den_i = int(num), int(den) if slash else 1
     except ValueError as e:  # also past Python's integer digit limit
-        raise OperatorFormatError(f"{where}: malformed rational {s!r}") from e
+        raise OperatorFormatError(f"{where}: malformed rational {_quoted(s)}") from e
     if den_i == 0:
-        raise OperatorFormatError(f"{where}: zero denominator in rational {s!r}")
+        raise OperatorFormatError(f"{where}: zero denominator in rational {_quoted(s)}")
     return Fraction(num_i, den_i)
 
 

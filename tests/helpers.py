@@ -368,6 +368,30 @@ def reference_trig_derivative(u, n_grid, t):
 # ---------------------------------------------------------------------------
 
 
+def reference_golden_section(val_at, h, steps=40):
+    """Golden-section search for the largest value of val_at on [-h, h], one
+    point at a time: the midpoint of the last interval and the largest of its
+    value and the last pair's."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = -h, h
+    fa_left = a + (1 - invphi) * (b - a)
+    fa_right = a + invphi * (b - a)
+    v_left, v_right = val_at(fa_left), val_at(fa_right)
+    for _ in range(steps):
+        if v_left < v_right:
+            a = fa_left
+            fa_left, v_left = fa_right, v_right
+            fa_right = a + invphi * (b - a)
+            v_right = val_at(fa_right)
+        else:
+            b = fa_right
+            fa_right, v_right = fa_left, v_left
+            fa_left = a + (1 - invphi) * (b - a)
+            v_left = val_at(fa_left)
+    theta = (a + b) / 2
+    return theta, max(val_at(theta), v_left, v_right)
+
+
 def reference_korn_constant_p2(pair, samples, refine_iters=80, seed=0):
     """Sup of the quotient norm over sampled unit xi, one xi at a time, then
     golden-section refinement along random tangents; also every xi at which
@@ -389,7 +413,6 @@ def reference_korn_constant_p2(pair, samples, refine_iters=80, seed=0):
         val = quotient_norm(xi)
         if val > best_val:
             best_val, best_xi = val, xi
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     h = 0.5
     for _ in range(refine_iters):
         t = rng.standard_normal(N)
@@ -403,23 +426,7 @@ def reference_korn_constant_p2(pair, samples, refine_iters=80, seed=0):
             x = math.cos(theta) * best_xi + math.sin(theta) * t
             return quotient_norm(x)
 
-        a, b = -h, h
-        fa_left = a + (1 - invphi) * (b - a)
-        fa_right = a + invphi * (b - a)
-        v_left, v_right = val_at(fa_left), val_at(fa_right)
-        for _ in range(40):
-            if v_left < v_right:
-                a = fa_left
-                fa_left, v_left = fa_right, v_right
-                fa_right = a + invphi * (b - a)
-                v_right = val_at(fa_right)
-            else:
-                b = fa_right
-                fa_right, v_right = fa_left, v_left
-                fa_left = a + (1 - invphi) * (b - a)
-                v_left = val_at(fa_left)
-        theta = (a + b) / 2
-        cand = max(val_at(theta), v_left, v_right)
+        theta, cand = reference_golden_section(val_at, h)
         if cand > best_val:
             best_val = cand
             best_xi = math.cos(theta) * best_xi + math.sin(theta) * t

@@ -9,6 +9,7 @@ from symcheck.operators import (
     CATALOG_MAX_INTEGERS,
     CATALOG_NAMES,
     DIV_K_MAX_COMPONENTS,
+    QUOTED_ENTRY_CHARS,
     CatalogBudgetExceeded,
     DiffOp,
     OperatorFormatError,
@@ -366,8 +367,27 @@ class TestSerialization:
     def test_entry_past_the_digit_limit_names_its_field(self):
         data = op_to_dict(catalog("gradient", 2))
         data["terms"][0]["matrix"][1][0] = "7" * 5000
-        with pytest.raises(OperatorFormatError, match=r"^terms\[0\]\.matrix\[1\]\[0\]: malformed rational"):
+        with pytest.raises(OperatorFormatError, match=r"^terms\[0\]\.matrix\[1\]\[0\]: malformed rational") as err:
             op_from_dict(data)
+        # a prefix of the entry and its length, not all 5000 digits
+        assert len(str(err.value)) < 200
+        assert str(err.value).endswith(f"'{'7' * QUOTED_ENTRY_CHARS}'... (5000 characters)")
+
+    def test_long_entries_are_clipped(self):
+        for entry, message in [
+                ("7" * QUOTED_ENTRY_CHARS + ".", "malformed rational"),
+                ("7" * 4000 + "/0", "zero denominator in rational")]:
+            data = op_to_dict(catalog("gradient", 2))
+            data["terms"][1]["matrix"][0][0] = entry
+            with pytest.raises(OperatorFormatError) as err:
+                op_from_dict(data)
+            assert str(err.value) == (f"terms[1].matrix[0][0]: {message} {entry[:QUOTED_ENTRY_CHARS]!r}"
+                                      f"... ({len(entry)} characters)")
+        # an entry of QUOTED_ENTRY_CHARS characters is quoted whole
+        data["terms"][1]["matrix"][0][0] = entry = "7" * (QUOTED_ENTRY_CHARS - 1) + "."
+        with pytest.raises(OperatorFormatError) as err:
+            op_from_dict(data)
+        assert str(err.value) == f"terms[1].matrix[0][0]: malformed rational {entry!r}"
 
     def test_order_mismatch_diagnostic(self):
         data = op_to_dict(catalog("gradient", 2))

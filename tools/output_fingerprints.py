@@ -21,6 +21,11 @@ these certificates for two operators only. Last come ``lift LABEL sha256``
 lines: ``polynomial_lift`` of a seeded target of each degree 0 to 4 in the
 image of each of those catalog entries, and of one target that is not in
 the image, hashed the same way; the benchmark lifts two targets per seed.
+Then ``numerics LABEL sha256`` lines hash, the same way, parameters the
+benchmark never runs: ``korn_constant_p2`` with 500 samples and seeds 0
+and 1 on the pairs of ``TestBitIdentity`` whose kernel inclusion holds,
+``bb_ratio_experiment`` with 50 trials on four small grids, and
+``sobolev_ratio_experiment`` on gradient(3) -> id with p = 1 and 2.
 """
 
 import argparse
@@ -45,9 +50,10 @@ os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"  # as p
 sys.path[:0] = [str(src), str(ROOT / "perfbench")]
 import symcheck  # noqa: E402
 import workloads  # noqa: E402
-from symcheck import analysis  # noqa: E402
+from symcheck import analysis, numerics  # noqa: E402
 from symcheck.exact import MultiPoly, monomials_of_degree  # noqa: E402
-from symcheck.operators import OperatorFormatError, catalog, serialize_op  # noqa: E402
+from symcheck.operators import (  # noqa: E402
+    DiffOp, OperatorFormatError, OperatorPair, catalog, grad_power, serialize_op)
 
 if not Path(symcheck.__file__).resolve().is_relative_to(src):
     sys.exit(f"symcheck imported from {symcheck.__file__}, not from {src}")
@@ -117,6 +123,37 @@ x1, x2 = (MultiPoly.monomial(2, e) for e in ((1, 0), (0, 1)))
 strain = [1 + x2 * x2, x1, MultiPoly.zero(2)]
 text = outcome(analysis.polynomial_lift, catalog("sym_gradient", 2), strain)[1]
 print("lift", "sym_gradient/2/-/incompatible", hashlib.sha256(text.encode()).hexdigest(), flush=True)
+
+
+def reweighted(op, weights):
+    return DiffOp(op.name, op.N, op.d, op.l, op.k, op.terms, weights)
+
+
+# the pairs of tests/test_numerics.py::TestBitIdentity whose kernel inclusion
+# holds, the random order-2 operator drawn here with workloads.random_op
+KORN2_PAIRS = [
+    ("sym_gradient(2) -> D", catalog("sym_gradient", 2), grad_power(1, 2, 2)),
+    ("sym_gradient(3) -> D", catalog("sym_gradient", 3), grad_power(1, 3, 3)),
+    ("reweighted sym_gradient(3) -> weighted D",
+     reweighted(catalog("sym_gradient", 3), (1, 3, 2, 5, 1, 7)),
+     reweighted(grad_power(1, 3, 3), tuple(range(1, 10)))),
+    ("curl(3) -> curl(3)", catalog("curl", 3), catalog("curl", 3)),
+    ("divergence(2) -> divergence(2)", catalog("divergence", 2), catalog("divergence", 2)),
+    ("hessian of a 2-field (3) -> random order 2", grad_power(2, 2, 3),
+     workloads.random_op(random.Random(3), "random", 3, 2, 3, 2)),
+]
+for label, calA, A in KORN2_PAIRS:
+    for seed in (0, 1):
+        text = outcome(numerics.korn_constant_p2, OperatorPair(calA, A, "korn"), 500, 80, seed)[1]
+        print("numerics", f"korn2/{label}/{seed}", hashlib.sha256(text.encode()).hexdigest(), flush=True)
+for k, N, n_grid in ((1, 2, 16), (2, 2, 16), (1, 3, 8), (2, 3, 8)):
+    text = outcome(numerics.bb_ratio_experiment, k, N, 50, n_grid, 0)[1]
+    print("numerics", f"bb/k={k}/N={N}/grid={n_grid}", hashlib.sha256(text.encode()).hexdigest(), flush=True)
+sobolev_pair = OperatorPair(catalog("gradient", 3), grad_power(0, 1, 3), "sobolev")
+for p in (1, 2):
+    text = outcome(numerics.sobolev_ratio_experiment, sobolev_pair, p, 20, 16, 0)[1]
+    print("numerics", f"sobolev/gradient(3) -> id/p={p}", hashlib.sha256(text.encode()).hexdigest(),
+          flush=True)
 
 for name in ("certify", "refute", "numerics"):
     for seed in args.seeds:
