@@ -32,7 +32,6 @@ from .operators import (
     DiffOp,
     OperatorPair,
     from_symbol,
-    grad_power,
     multi_index,
     ordered_tuples,
 )
@@ -451,61 +450,57 @@ def construct_L(
 ) -> FactorizationCertificate:
     """Smallest s <= s_max with D^s o A = L o calA, plus the operator L.
 
-    The rows of L are module-membership coefficients of the rows
-    xi^b * A_i[xi] in the row module of the symbol of calA, all reduced by
-    one Groebner basis of that module. L has order s + ord A - ord calA,
-    which is also the degree of its coefficients.
+    Row (b, i) of D^s o A is xi^beta A_i[xi], beta the multi-index of the
+    tuple b, so each of the C(N+s-1, s) l distinct targets is expressed once
+    over the rows of the symbol of calA, by one Groebner basis of their
+    module. The rows and targets are homogeneous, and so is every division
+    step and S-pair of homogeneous elements: each coefficient is a form of
+    degree s + ord A - ord calA, the order of L. The rows of L come tuple b
+    first, then i; the first rows of each beta times calA are re-verified
+    against the targets, and every other row against them.
     """
     if verdict is None:
         verdict = kernel_inclusion(pair)
     if not verdict.holds:
         raise ValueError("construct_L requires kernel inclusion to hold")
     calA, A = pair.calA, pair.A
-    N = calA.N
+    N, l = calA.N, A.l
     sym_calA = calA.symbol()
     gen_rows = [i for i, row in enumerate(sym_calA.entries) if any(row)]
     basis = GroebnerBasis([sym_calA.entries[i] for i in gen_rows], TermOrder("grevlex"))
-    sym_A = A.symbol()
+    zero = MultiPoly.zero(N)
     for s in range(0, s_max + 1):
-        order_L = s + A.k - calA.k
-        coeff_rows = _factor_rows(sym_A, basis, gen_rows, calA.l, s, order_L)
-        if coeff_rows is None:
+        betas = monomials_of_degree(N, s)
+        targets = [tuple(mono * p for p in entries)
+                   for mono in (MultiPoly.monomial(N, beta) for beta in betas)
+                   for entries in A.symbol().entries]
+        coeff_rows = []
+        for target in targets:
+            coeffs = basis.express(target)
+            if coeffs is None:
+                break
+            row = [zero] * calA.l  # a generator's coefficient goes to its row of calA
+            for j, c in zip(gen_rows, coeffs):
+                row[j] = c
+            coeff_rows.append(row)
+        if len(coeff_rows) < len(targets):
             continue
-        L = from_symbol(f"L[{calA.name}->{A.name},s={s}]", PolyMatrix(coeff_rows), order_L)
-        if grad_power(s, A.l, N).symbol() @ sym_A != L.symbol() @ sym_calA:
+        where = {beta: t * l for t, beta in enumerate(betas)}
+        starts = [where[multi_index(b, N)] for b in ordered_tuples(N, s)]
+        L = from_symbol(f"L[{calA.name}->{A.name},s={s}]",
+                        PolyMatrix(coeff_rows[a + i] for a in starts for i in range(l)),
+                        s + A.k - calA.k)
+        rows = L.symbol().entries
+        blocks = [(a, rows[r * l:r * l + l]) for r, a in enumerate(starts)]
+        first = {}  # the first block of l rows of L of each beta
+        for a, block in blocks:
+            first.setdefault(a, block)
+        if any(block != first[a] for a, block in blocks) or (
+                PolyMatrix(row for a in sorted(first) for row in first[a]) @ sym_calA
+                != PolyMatrix(targets)):
             raise AssertionError("factorization identity failed exact verification")
         return FactorizationCertificate(s=s, L=L, verified=True)
     raise SMaxExceeded(s_max)
-
-
-def _factor_rows(sym_A, basis, gen_rows, width, s, degree):
-    """Coefficient rows of every row xi^b A_i over the rows of calA, or None.
-
-    Each target depends on the monomial xi^b only, so it is expressed once
-    per monomial; the rows come out in the row order of D^s, tuple b first,
-    then i. A generator's coefficient goes to the column of its row
-    `gen_rows[j]` of calA; the other `width` columns stay zero. The target
-    is homogeneous of degree `degree` plus the generators' degree, so the
-    degree-`degree` component of any representation still represents it.
-    """
-    N = sym_A.nvars
-    zero = MultiPoly.zero(N)
-    by_monomial = {}
-    for exp in monomials_of_degree(N, s):
-        mono = MultiPoly.monomial(N, exp)
-        rows = []
-        for entries in sym_A.entries:
-            coeffs = basis.express(tuple(mono * p for p in entries))
-            if coeffs is None:
-                return None
-            row = [zero] * width
-            for j, c in zip(gen_rows, coeffs):
-                row[j] = c.homogeneous_component(degree)
-            rows.append(row)
-        by_monomial[exp] = rows
-    return [
-        row for b in ordered_tuples(N, s) for row in by_monomial[multi_index(b, N)]
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,11 @@ from symcheck.analysis import (
     ProjectionInfeasible,
     EllipticVerdict,
     FactorizationCertificate,
+    HypothesesNotMet,
     NotInImage,
     PolynomialLift,
     SMaxExceeded,
+    kernel_inclusion,
     rank_profile,
 )
 from symcheck.exact import (
@@ -160,6 +162,20 @@ def catalog_pair_grid():
             if (calA.N, calA.d, calA.k) == (A.N, A.d, A.k):
                 pairs.append(OperatorPair(calA, A, "korn"))
     return pairs
+
+
+def pair_at_s_4():
+    """The first korn pair of a random 4x2 and a 1x2 operator of order 2 in
+    N = 3, drawn from random.Random(0), whose kernel inclusion holds: its
+    factorization needs s = 4, over a 7-element Groebner basis."""
+    rng = random.Random(0)
+    while True:
+        pair = OperatorPair(rand_op(rng, N=3, d=2, l=4, k=2), rand_op(rng, N=3, d=2, l=1, k=2))
+        try:
+            if kernel_inclusion(pair).holds:
+                return pair
+        except HypothesesNotMet:
+            pass
 
 
 def tf_sym_gradient(N):

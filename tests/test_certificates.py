@@ -17,6 +17,7 @@ from symcheck.analysis import (
     polynomial_lift,
 )
 from symcheck.exact import MultiPoly, PolyMatrix, ScalarMatrix
+from symcheck.groebner import GroebnerBasis
 from symcheck.operators import (
     CATALOG_NAMES,
     OperatorFormatError,
@@ -30,6 +31,7 @@ from symcheck.operators import (
 from helpers import (
     assert_same_operator,
     catalog_pair_grid,
+    pair_at_s_4,
     rand_field,
     rand_op,
     rand_poly,
@@ -114,6 +116,90 @@ class TestFactorizationMatchesReference:
         for pair in random_pairs(seed, 2):
             s_values.add(assert_same_certificate(pair).s)
         assert max(s_values) >= 2
+
+
+class TestFactorizationFromDistinctRows:
+    def test_no_operator_and_one_row_per_multi_index(self, monkeypatch):
+        # row (b, i) of D^s o A depends on the multi-index of b only: the
+        # identity is multiplied out on the C(N+s-1, s) l distinct rows, and
+        # neither D^s nor a composition is built
+        pairs = [OperatorPair(catalog("curl", 3), catalog("curl", 3)),
+                 OperatorPair(catalog("sym_gradient", 2), grad_power(1, 2, 2)),
+                 OperatorPair(tf_sym_gradient(3), grad_power(1, 3, 3)),
+                 OperatorPair(catalog("gradient", 2), grad_power(0, 1, 2), "sobolev")]
+        cases = [(pair, kernel_inclusion(pair), reference_construct_L(pair, 6))
+                 for pair in pairs + random_pairs(0, 1)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("construct_L built D^s or a composition")
+
+        for module in (operators, analysis):
+            monkeypatch.setattr(module, "grad_power", refuse, raising=False)
+            monkeypatch.setattr(module, "compose", refuse, raising=False)
+        rows = []
+        matmul = PolyMatrix.__matmul__
+
+        def counting(a, b):
+            rows.append(a.rows)
+            return matmul(a, b)
+
+        monkeypatch.setattr(PolyMatrix, "__matmul__", counting)
+        s_values = set()
+        for pair, verdict, ref in cases:
+            rows.clear()
+            cert = construct_L(pair, 6, verdict=verdict)
+            assert cert == ref
+            assert rows == [math.comb(pair.A.N + cert.s - 1, cert.s) * pair.A.l]
+            s_values.add(cert.s)
+        assert {0, 1, 2, 4} <= s_values
+
+    def test_every_coefficient_is_a_form_of_the_order_of_L(self, monkeypatch):
+        # construct_L keeps each coefficient whole: the rows of calA and the
+        # targets are homogeneous, so is every division step and S-pair, and
+        # each representation already has degree deg(target) - ord calA
+        express = GroebnerBasis.express
+        nonzero = []
+
+        def homogeneous(basis, target):
+            coeffs = express(basis, target)
+            if coeffs is not None:
+                order = max(p.degree() for p in target) - max(
+                    p.degree() for g in basis.input_gens for p in g)
+                assert all(c.is_zero or c.homogeneous_degree() == order for c in coeffs)
+                nonzero.extend(c for c in coeffs if not c.is_zero)
+            return coeffs
+
+        monkeypatch.setattr(GroebnerBasis, "express", homogeneous)
+        pairs = [pair_at_s_4()]
+        for pair in catalog_pair_grid():
+            try:
+                if kernel_inclusion(pair).holds:
+                    pairs.append(pair)
+            except HypothesesNotMet:
+                pass
+        for seed in (0, 1, 2):
+            pairs += random_pairs(seed, 2)
+        s_values = {construct_L(pair, 6).s for pair in pairs}
+        assert max(s_values) == 4 and len(pairs) >= 40
+        assert len(nonzero) >= 500
+
+    @pytest.mark.parametrize("b", [(1, 0), (0, 0)])
+    def test_a_changed_coefficient_fails_verification(self, monkeypatch, b):
+        # tf_sym_gradient(3) -> D needs s = 2: the rows of the tuple (1, 0)
+        # repeat those of (0, 1), and the rows of (0, 0) are the only ones of
+        # their multi-index, so only the product with calA can catch them
+        pair = OperatorPair(tf_sym_gradient(3), grad_power(1, 3, 3))
+        verdict = kernel_inclusion(pair)
+        row = ordered_tuples(3, 2).index(b) * pair.A.l + 4  # row i = 4 of A
+
+        def tampered(name, sym, k):
+            entries = [list(r) for r in sym.entries]
+            entries[row][0] += MultiPoly.monomial(3, (k, 0, 0))
+            return from_symbol(name, PolyMatrix(entries), k)
+
+        monkeypatch.setattr(analysis, "from_symbol", tampered)
+        with pytest.raises(AssertionError, match="^factorization identity failed exact verification$"):
+            construct_L(pair, 6, verdict=verdict)
 
 
 class TestLiftMatchesReference:

@@ -19,6 +19,7 @@ stdout.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -77,9 +78,16 @@ def summarise(spec, runs) -> dict:
 
 
 def revision(checkout: Path) -> str:
-    proc = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=checkout,
-                          capture_output=True, text=True)
-    return proc.stdout.strip() or "unknown"
+    """HEAD's short hash, ``<hash>-dirty-<12 hex of sha256 of git diff HEAD>``
+    when tracked files have uncommitted changes, ``unknown`` outside git."""
+    def git(*argv) -> bytes:
+        return subprocess.run(["git", *argv], cwd=checkout, capture_output=True).stdout
+
+    sha = git("rev-parse", "--short", "HEAD").decode().strip()
+    if not sha:
+        return "unknown"
+    diff = git("diff", "HEAD")
+    return f"{sha}-dirty-{hashlib.sha256(diff).hexdigest()[:12]}" if diff else sha
 
 
 def main():

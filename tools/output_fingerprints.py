@@ -21,6 +21,12 @@ these certificates for two operators only. Last come ``lift LABEL sha256``
 lines: ``polynomial_lift`` of a seeded target of each degree 0 to 4 in the
 image of each of those catalog entries, and of one target that is not in
 the image, hashed the same way; the benchmark lifts two targets per seed.
+Then ``factorization LABEL sha256`` lines hash, the same way, ``construct_L``
+(with the serialized L) on every korn pair (equal N, d and order) and
+sobolev pair among those catalog entries, full gradients and identities, on
+the trace-free symmetric gradient in N = 3 against D (s = 2) and on a
+random 4x2 and 1x2 pair of order 2 in N = 3 drawn from random.Random(1)
+(s = 4); a benchmark pass builds six (five in certify, one in numerics).
 Then ``numerics LABEL sha256`` lines hash, the same way, parameters the
 benchmark never runs: ``korn_constant_p2`` with 500 samples and seeds 0
 and 1 on the pairs of ``TestBitIdentity`` whose kernel inclusion holds,
@@ -123,6 +129,27 @@ x1, x2 = (MultiPoly.monomial(2, e) for e in ((1, 0), (0, 1)))
 strain = [1 + x2 * x2, x1, MultiPoly.zero(2)]
 text = outcome(analysis.polynomial_lift, catalog("sym_gradient", 2), strain)[1]
 print("lift", "sym_gradient/2/-/incompatible", hashlib.sha256(text.encode()).hexdigest(), flush=True)
+
+# every korn (equal N, d, k) and sobolev pair among those catalog entries,
+# full gradients and identities; the trace-free symmetric gradient, which
+# needs s = 2; and the s = 4 rung of a random 4x2 and 1x2 pair of order 2
+factor_ops = catalog_ops + [(f"D/{N}", grad_power(1, N, N)) for N in (2, 3)] + [
+    (f"id/{d}/{N}", grad_power(0, d, N))
+    for N in (2, 3) for d in sorted({op.d for _, op in catalog_ops if op.N == N})]
+MODES = {0: "korn", 1: "sobolev"}  # by ord calA - ord A
+factor_pairs = [(f"{a} -> {b}/{MODES[calA.k - A.k]}", OperatorPair(calA, A, MODES[calA.k - A.k]))
+                for a, calA in factor_ops for b, A in factor_ops
+                if (calA.N, calA.d) == (A.N, A.d) and calA.k - A.k in MODES]
+factor_pairs.append(("tf_sym_gradient/3 -> D/3", OperatorPair(
+    workloads.tf_sym_gradient(3), grad_power(1, 3, 3))))
+rung = random.Random(1)
+factor_pairs.append(("s=4 rung/1", OperatorPair(workloads.random_op(rung, "calA", 3, 2, 4, 2),
+                                                workloads.random_op(rung, "A", 3, 2, 1, 2))))
+for label, pair in factor_pairs:
+    cert, text = outcome(analysis.construct_L, pair)
+    if cert is not None:
+        text += serialize_op(cert.L)
+    print("factorization", label, hashlib.sha256(text.encode()).hexdigest(), flush=True)
 
 
 def reweighted(op, weights):
