@@ -457,7 +457,8 @@ def construct_L(
     step and S-pair of homogeneous elements: each coefficient is a form of
     degree s + ord A - ord calA, the order of L. The rows of L come tuple b
     first, then i; the first rows of each beta times calA are re-verified
-    against the targets, and every other row against them.
+    against the targets, and every other row against them, the one check
+    of the identity (`express` multiplies nothing out).
     """
     if verdict is None:
         verdict = kernel_inclusion(pair)
@@ -466,9 +467,7 @@ def construct_L(
     calA, A = pair.calA, pair.A
     N, l = calA.N, A.l
     sym_calA = calA.symbol()
-    gen_rows = [i for i, row in enumerate(sym_calA.entries) if any(row)]
-    basis = GroebnerBasis([sym_calA.entries[i] for i in gen_rows], TermOrder("grevlex"))
-    zero = MultiPoly.zero(N)
+    basis = GroebnerBasis(sym_calA.entries, TermOrder("grevlex"))
     for s in range(0, s_max + 1):
         betas = monomials_of_degree(N, s)
         targets = [tuple(mono * p for p in entries)
@@ -479,10 +478,7 @@ def construct_L(
             coeffs = basis.express(target)
             if coeffs is None:
                 break
-            row = [zero] * calA.l  # a generator's coefficient goes to its row of calA
-            for j, c in zip(gen_rows, coeffs):
-                row[j] = c
-            coeff_rows.append(row)
+            coeff_rows.append(coeffs)
         if len(coeff_rows) < len(targets):
             continue
         where = {beta: t * l for t, beta in enumerate(betas)}
@@ -645,8 +641,8 @@ def construct_Cbeta(
     # l equations in len(betas)*m unknowns whose columns are the rows of the
     # m x l matrices B_beta, with row i of P on the right; one elimination
     # solves all l of them
-    sys_mat = ScalarMatrix.from_columns([row for beta in betas for row in ann.op.terms[beta]])
-    rows_of_C = sys_mat.solve_many(P.entries)
+    sys_rows = [row for beta in betas for row in ann.op.terms[beta]]
+    rows_of_C = ScalarMatrix.from_columns(sys_rows).solve_many(P.entries)
     if None in rows_of_C:
         raise ProjectionInfeasible(
             "projection identity infeasible",
@@ -656,12 +652,11 @@ def construct_Cbeta(
         beta: ScalarMatrix([[row[b * m + t] for t in range(m)] for row in rows_of_C])
         for b, beta in enumerate(betas)
     }
-    # exact re-verification of the identity
-    acc = ScalarMatrix.zeros(l, l)
-    for beta, C in C_beta.items():
-        Bb = ScalarMatrix(ann.op.terms[beta])
-        acc = acc + (C @ Bb)
-    if acc != P:
+    # exact re-verification of the identity, as one product: the C_beta side
+    # by side times the B_beta stacked
+    side_by_side = ScalarMatrix([c for C in C_beta.values() for c in C.entries[i]]
+                                for i in range(l))
+    if side_by_side @ ScalarMatrix(sys_rows) != P:
         raise AssertionError("C_beta identity failed exact verification")
     return C_beta
 

@@ -419,7 +419,7 @@ class ScalarMatrix:
         ot = list(zip(*other.entries))
         return ScalarMatrix(
             [
-                [sum(a * b for a, b in zip(row, col)) for col in ot]
+                [sum(a * b for a, b in zip(row, col) if a and b) for col in ot]
                 for row in self.entries
             ]
         )

@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 from .exact import (
     MultiPoly,
+    PolyMatrix,
     forward_eliminate,
     grevlex_key,
     monomials_of_degree,
@@ -97,8 +98,9 @@ class GroebnerBasis:
     """
 
     def __init__(self, gens: Sequence[ModuleElement], order: TermOrder):
-        gens = [tuple(g) for g in gens if any(g)]  # drop zero elements
-        if not gens:
+        # a zero generator seeds nothing but keeps its position in `reps`
+        gens = [tuple(g) for g in gens]
+        if not any(map(any, gens)):
             raise ValueError("empty (or all-zero) generator list")
         self.rank = len(gens[0])
         self.nvars = gens[0][0].nvars
@@ -213,21 +215,17 @@ class GroebnerBasis:
 
     def express(self, target: ModuleElement):
         """Coefficients q_1..q_n with target = sum q_j * input_gens[j], or
-        None if target is not in the module; re-verified by exact expansion.
+        None if target is not in the module.
 
-        Reducing target to zero tracks -sum q_j * input_gens[j] in `rep`.
+        Reducing target to zero tracks -sum q_j * input_gens[j] in `rep`;
+        the coefficients are read off it and not multiplied out here, so a
+        caller checks the identity it relies on (as `construct_L` and
+        `module_member_with_coeffs` do).
         """
         rep: dict = {}
         if self._remainder(target, rep):
             return None
-        nv = self.nvars
-        coeffs = [-q for q in _polys(rep, len(self.input_gens), nv)]
-        acc = tuple(MultiPoly.zero(nv) for _ in range(self.rank))
-        for c, g in zip(coeffs, self.input_gens):
-            acc = tuple(a + c * p for a, p in zip(acc, g))
-        if acc != tuple(target):
-            raise AssertionError("representation tracking produced a wrong identity")
-        return coeffs
+        return [-q for q in _polys(rep, len(self.input_gens), self.nvars)]
 
     def contains(self, f: ModuleElement) -> bool:
         return not self._remainder(f)
@@ -304,8 +302,14 @@ def zero_dim_origin(gens: Sequence[MultiPoly]) -> bool:
 def module_member_with_coeffs(target: ModuleElement, gens: Sequence[ModuleElement]):
     """Express `target` in the module generated by `gens`, or return None.
 
-    On success returns polynomials q_1..q_n with target = sum q_j * gens[j],
-    re-verified by exact expansion.  To test several targets against the
-    same generators, build one GroebnerBasis and call its `express`.
+    On success returns polynomials q_1..q_n, one per generator (zero ones
+    included), with target = sum q_j * gens[j], re-verified as one matrix
+    product.  To test several targets against the same generators, build
+    one GroebnerBasis, call its `express` and check what the caller uses.
     """
-    return GroebnerBasis(gens, TermOrder()).express(target)
+    basis = GroebnerBasis(gens, TermOrder())
+    coeffs = basis.express(target)
+    if coeffs is not None and (PolyMatrix([coeffs]) @ PolyMatrix(basis.input_gens)
+                               != PolyMatrix([target])):
+        raise AssertionError("representation tracking produced a wrong identity")
+    return coeffs

@@ -8,6 +8,7 @@ upstream, never to small floats.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -611,22 +612,12 @@ def bb_ratio_experiment(
                 dbump[t] = dbump[t] * sj
         bump *= sj
     # the grid is fixed, so a frequency's phase is the same in every trial:
-    # keep as many as PHASE_MEMO_BYTES holds, dropping the oldest first
-    held = {}
-    capacity = PHASE_MEMO_BYTES // (16 * bump.size)
+    # keep as many as PHASE_MEMO_BYTES holds, dropping the least recently used
+    phase = functools.lru_cache(maxsize=PHASE_MEMO_BYTES // (16 * bump.size))(
+        functools.partial(_phase, X))
 
     def phases(u: TrigField) -> list:
-        out = []
-        for m in u.coeffs:
-            phase = held.get(m)
-            if phase is None:
-                phase = _phase(X, m)
-                if capacity:
-                    if len(held) == capacity:
-                        del held[next(iter(held))]
-                    held[m] = phase
-            out.append(phase)
-        return out
+        return [phase(m) for m in u.coeffs]
 
     max_residual = 0.0
     ratios = []

@@ -1046,7 +1046,7 @@ class ReferenceGroebnerBasis:
     leading term; `generators`, `reps` and `express` as in the library."""
 
     def __init__(self, gens, order):
-        gens = [tuple(g) for g in gens if not _reference_is_zero(g)]
+        gens = [tuple(g) for g in gens]
         self.rank = len(gens[0])
         self.nvars = gens[0][0].nvars
         self.order = order

@@ -706,6 +706,70 @@ class TestCertificateSystems:
             construct_Cbeta(ann, W, op.l)
             assert len(calls) == (3 if W else 1)
 
+    def test_Cbeta_identity_is_one_product(self, monkeypatch):
+        # the C_beta side by side times the B_beta stacked; a nonzero W adds
+        # the projector's two
+        shapes = []
+        matmul = ScalarMatrix.__matmul__
+
+        def counting(a, b):
+            shapes.append((a.rows, a.cols, b.cols))
+            return matmul(a, b)
+
+        cases = []
+        for op in [catalog("gradient", N) for N in (2, 3)] + [
+                catalog("sym_gradient", 3), catalog("d2_laplacian", 3), fixed_image_vector()]:
+            ann = construct_annihilator(op)
+            W = compute_W(op).W_basis
+            cases.append((op, ann, W, reference_construct_Cbeta(ann, W, op.l)))
+        monkeypatch.setattr(ScalarMatrix, "__matmul__", counting)
+        for op, ann, W, ref in cases:
+            shapes.clear()
+            C_beta = construct_Cbeta(ann, W, op.l)
+            assert C_beta == ref
+            assert len(shapes) == (3 if W else 1)
+            assert shapes[-1] == (op.l, len(C_beta) * ann.m, op.l)
+
+
+class TestEachCheckFires:
+    """A changed certificate fails the one exact check made on it."""
+
+    @pytest.mark.parametrize("name,N", [("gradient", 2), ("sym_gradient", 3)])
+    def test_a_changed_Cbeta_fails_verification(self, monkeypatch, name, N):
+        # W = 0 here, so the C_beta system is the only one solved
+        op = catalog(name, N)
+        ann = construct_annihilator(op)
+        W = compute_W(op).W_basis
+        assert not W
+        solve_many = ScalarMatrix.solve_many
+
+        def perturbed(system, rhss):
+            out = solve_many(system, rhss)
+            # an unknown whose column is nonzero moves row 0 of the product
+            j = next(j for j in range(system.cols) if any(r[j] for r in system.entries))
+            x = list(out[0])
+            x[j] += 1
+            return [tuple(x)] + out[1:]
+
+        monkeypatch.setattr(ScalarMatrix, "solve_many", perturbed)
+        with pytest.raises(AssertionError, match="C_beta identity failed exact verification"):
+            construct_Cbeta(ann, W, op.l)
+
+    @pytest.mark.parametrize("name,N", [("gradient", 2), ("sym_gradient", 3)])
+    def test_a_changed_annihilator_fails_verification(self, monkeypatch, name, N):
+        op = catalog(name, N)
+        faddeev_leverrier = PolyMatrix.faddeev_leverrier
+
+        def perturbed(M, steps):
+            cs, B = faddeev_leverrier(M, steps)
+            entries = [list(r) for r in B.entries]
+            entries[0][0] = entries[0][0] + MultiPoly.const(M.nvars, 1)
+            return cs, PolyMatrix(entries)
+
+        monkeypatch.setattr(PolyMatrix, "faddeev_leverrier", perturbed)
+        with pytest.raises(AssertionError, match="annihilator does not annihilate the symbol"):
+            construct_annihilator(op)
+
 
 class TestPolynomialLift:
     def test_random_feasible_instances(self):

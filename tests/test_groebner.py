@@ -215,6 +215,56 @@ class TestModuleMembership:
         assert module_member_with_coeffs(member, gens) is not None
         assert module_member_with_coeffs((xi1 * xi2,), gens) is None
 
+    def test_zero_generators_keep_their_place(self):
+        # one coefficient per generator as given, zero ones included
+        x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        zero = MultiPoly.zero(2)
+        gens = [(zero, zero), (x, y), (zero, zero)]
+        assert module_member_with_coeffs((x * x, x * y), gens) == [zero, x, zero]
+        G = GroebnerBasis(gens, TermOrder())
+        assert G.input_gens == gens
+        assert G.generators == [(x, y)] and G.reps == [[zero, MultiPoly.const(2, 1), zero]]
+        for every_zero in ([], [(zero, zero)], [(zero, zero)] * 3):
+            with pytest.raises(ValueError, match="all-zero"):
+                GroebnerBasis(every_zero, TermOrder())
+
+    def test_a_changed_coefficient_fails_verification(self, monkeypatch):
+        # express returns what the reduction tracked; the one-shot wrapper
+        # checks it as one product
+        x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        gens = [(MultiPoly.zero(2),) * 2, (x, y), (y * y, x * x)]
+        express = GroebnerBasis.express
+
+        def perturbed(basis, target):
+            coeffs = express(basis, target)
+            coeffs[1] = coeffs[1] + x
+            return coeffs
+
+        monkeypatch.setattr(GroebnerBasis, "express", perturbed)
+        with pytest.raises(AssertionError,
+                           match="representation tracking produced a wrong identity"):
+            module_member_with_coeffs((x * x + y * y, x * y + x * x), gens)
+
+    def test_express_multiplies_nothing_out(self, monkeypatch):
+        rng = random.Random(31)
+        cases = []
+        for _ in range(10):
+            gens = [tuple(rand_homogeneous(rng, 3, 2) for _ in range(2)) for _ in range(3)]
+            qs = [rand_homogeneous(rng, 3, 1) for _ in gens]
+            target = tuple(sum((q * g[j] for q, g in zip(qs, gens)), MultiPoly.zero(3))
+                           for j in range(2))
+            G = GroebnerBasis(gens, TermOrder())
+            cases.append((G, target, G.express(target)))
+        assert sum(coeffs is not None for _, _, coeffs in cases) == 10
+
+        def refuse(*args):
+            raise AssertionError("express multiplied polynomials")
+
+        monkeypatch.setattr(MultiPoly, "__mul__", refuse)
+        monkeypatch.setattr(MultiPoly, "__rmul__", refuse)
+        for G, target, coeffs in cases:
+            assert G.express(target) == coeffs
+
 
 class TestMatchesReference:
     """The engine against the reference in helpers.py, which rebuilds tuples
@@ -242,6 +292,23 @@ class TestMatchesReference:
                 for j in range(rank)
             )
             other = tuple(rand_poly(rng, nvars, max_deg=2) for _ in range(rank))
+            for target in (member, other):
+                assert G.express(target) == R.express(target)
+
+    def test_zero_generators(self):
+        rng = random.Random(29)
+        zero = (MultiPoly.zero(2),) * 2
+        for _ in range(6):
+            gens = [tuple(rand_homogeneous(rng, 2, 1) for _ in range(2)) for _ in range(3)]
+            gens = [zero] + gens[:2] + [zero] + gens[2:]
+            G = GroebnerBasis(gens, TermOrder())
+            R = ReferenceGroebnerBasis(gens, TermOrder())
+            assert G.generators == R.generators
+            assert G.reps == R.reps and all(len(rep) == 5 for rep in G.reps)
+            qs = [rand_poly(rng, 2, max_deg=2) for _ in gens]
+            member = tuple(sum((q * g[j] for q, g in zip(qs, gens)), MultiPoly.zero(2))
+                           for j in range(2))
+            other = tuple(rand_poly(rng, 2, max_deg=2) for _ in range(2))
             for target in (member, other):
                 assert G.express(target) == R.express(target)
 
