@@ -22,6 +22,7 @@ from .exact import (
     MultiPoly,
     PolyMatrix,
     ScalarMatrix,
+    integer_form,
     monomials_of_degree,
     monomials_up_to_degree,
     projector_onto_complement,
@@ -291,8 +292,7 @@ def _vanishing_test(minors):
     object), and only on the rows where the earlier minors vanish."""
     scaled = []
     for m in filter(None, minors):  # a zero minor vanishes everywhere
-        lcm = math.lcm(*(c.denominator for c in m.terms.values()))
-        coeffs = [int(c * lcm) for c in m.terms.values()]
+        coeffs = list(integer_form(m.terms)[0].values())
         scaled.append((np.array(coeffs, dtype=object), np.array(list(m.terms), dtype=object),
                        sum(map(abs, coeffs)), max(map(sum, m.terms))))
 

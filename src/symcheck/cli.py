@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .groebner import MacaulayBudgetExceeded
+from .groebner import GroebnerBudgetExceeded, MacaulayBudgetExceeded
 from .operators import (
     CATALOG_NAMES,
     CatalogBudgetExceeded,
@@ -388,7 +388,7 @@ def main(argv=None) -> int:
         config, ops, results, status, code, summary = args.func(args)
     except (OperatorFormatError, ParameterError) as exc:
         return _input_error(exc)
-    except (MacaulayBudgetExceeded, CatalogBudgetExceeded) as exc:
+    except (MacaulayBudgetExceeded, GroebnerBudgetExceeded, CatalogBudgetExceeded) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     try:

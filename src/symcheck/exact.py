@@ -8,7 +8,9 @@ comparisons anywhere.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Sequence
 
 
@@ -37,6 +39,79 @@ def monomials_up_to_degree(nvars: int, deg: int) -> list[tuple[int, ...]]:
     for d in range(deg + 1):
         out.extend(monomials_of_degree(nvars, d))
     return out
+
+
+# The kernels compute on integer numerators over one positive common
+# denominator and return canonical Fractions.
+
+
+def common_denominator(*maps: dict) -> int:
+    """The lcm of the denominators of the maps' values (1 for none)."""
+    return math.lcm(*(c.denominator for m in maps for c in m.values()))
+
+
+def numerators(m: dict, den: int) -> dict:
+    """The values of m (Fractions or ints) times den, a multiple of theirs."""
+    return {k: c.numerator * (den // c.denominator) for k, c in m.items()}
+
+
+def integer_form(m: dict) -> tuple[dict, int]:
+    """The values of m as integer numerators over their lcm denominator."""
+    den = common_denominator(m)
+    return numerators(m, den), den
+
+
+def as_fractions(m: dict, den: int) -> dict:
+    """The integer values of m over den, as canonical Fractions."""
+    return {k: Fraction(v, den) for k, v in m.items()}
+
+
+def cofactors(pivot: int, lead: int) -> tuple[int, int]:
+    """Coprime (a, b) with a * lead == b * pivot: a * row - b * pivot_row
+    cancels the lead, and a > 0 keeps a denominator scaled by a positive."""
+    g = math.gcd(pivot, lead)
+    a, b = pivot // g, lead // g
+    return (a, b) if a > 0 else (-a, -b)
+
+
+def _add_scaled(target: dict, c, source: dict) -> None:
+    """target += c * source, in place: new keys go last and entries that
+    cancel are dropped."""
+    for k, v in source.items():
+        s = target.get(k, 0) + c * v
+        if s:
+            target[k] = s
+        else:
+            del target[k]
+
+
+def _shift(m: dict, u: tuple) -> dict:
+    return {tuple(map(add, e, u)): c for e, c in m.items()}
+
+
+def _product(p: dict, q: dict) -> dict:
+    """Product of two term maps, accumulated term by term of p, then of q."""
+    out: dict = {}
+    for e, c in p.items():
+        _add_scaled(out, c, _shift(q, e))
+    return out
+
+
+def _divide_exact(rem: dict, divisor: dict) -> dict:
+    """Quotient of integer term maps by division in grlex order, its terms
+    in decreasing grlex order, consuming rem; ArithmeticError unless it is
+    exact in integers."""
+    dexp = max(divisor, key=grlex_key)
+    dc = divisor[dexp]
+    q = {}
+    while rem:
+        rexp = max(rem, key=grlex_key)
+        qexp = tuple(map(sub, rexp, dexp))
+        q[qexp], r = divmod(rem[rexp], dc)
+        if r or min(qexp, default=0) < 0:
+            raise ArithmeticError("inexact polynomial division")
+        _add_scaled(rem, -q[qexp], _shift(divisor, qexp))
+    return q
 
 
 class MultiPoly:
@@ -132,16 +207,8 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, 0) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return MultiPoly(self.nvars, terms)
+        (p, dp), (q, dq) = integer_form(self.terms), integer_form(other.terms)
+        return MultiPoly(self.nvars, as_fractions(_product(p, q), dp * dq))
 
     __rmul__ = __mul__
 
@@ -232,33 +299,18 @@ class MultiPoly:
                 p = p.derivative(v)
         return p
 
-    def leading(self, key) -> tuple[tuple[int, ...], object]:
-        """Leading (exponent, coefficient) under the given monomial key."""
-        exp = max(self.terms, key=key)
-        return exp, self.terms[exp]
-
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
-        """Exact quotient self / divisor; raises if the division is inexact.
-
-        Used by the fraction-free (Bareiss) routines, where divisibility is
-        guaranteed.
-        """
+        """Exact quotient self / divisor, its terms in decreasing grlex
+        order; raises ArithmeticError if the division is inexact. It runs in
+        integers, by the primitive part of the divisor (Gauss's lemma)."""
         self._check(divisor)
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        key = grlex_key
-        dexp, dc = divisor.leading(key)
-        rem = self
-        qterms: dict = {}
-        while not rem.is_zero:
-            rexp, rc = rem.leading(key)
-            qexp = tuple(a - b for a, b in zip(rexp, dexp))
-            if any(e < 0 for e in qexp):
-                raise ArithmeticError("inexact polynomial division")
-            qc = rc / dc
-            qterms[qexp] = qterms.get(qexp, 0) + qc
-            rem = rem - MultiPoly.monomial(self.nvars, qexp, qc) * divisor
-        return MultiPoly(self.nvars, qterms)
+        (num, dn), (div, dd) = integer_form(self.terms), integer_form(divisor.terms)
+        content = math.gcd(*div.values())
+        q = _divide_exact(num, {e: c // content for e, c in div.items()})
+        q = {e: c * dd for e, c in q.items()}
+        return MultiPoly(self.nvars, as_fractions(q, dn * content))
 
     def __repr__(self):
         if not self.terms:
@@ -291,25 +343,36 @@ def grevlex_key(exp: tuple[int, ...]):
 def forward_eliminate(rows: Iterable[dict], ncols: int) -> dict[int, dict]:
     """Row echelon form of sparse rows over Q.
 
-    A row maps column indices to nonzero scalars.  Returns the pivot rows
+    A row maps column indices to nonzero rationals.  Returns the pivot rows
     keyed by their pivot column: each is scaled to 1 at its pivot and has no
     entry left of it.  The pivot columns are those of the reduced row
     echelon form, so their number is the rank.  Rows are consumed lazily,
-    reduced in place, and the pass stops as soon as every column has a pivot.
+    and the pass stops as soon as every column has a pivot.
+
+    Each row is scaled to integers, loses its content before each step and
+    is reduced as a * row - b * pivot (`cofactors`): a nonzero multiple of
+    the row over Q, with the same entries in the same order.
     """
     pivots: dict[int, dict] = {}
     for row in rows:
+        row = integer_form(row)[0]
         while row:
+            content = math.gcd(*row.values())
+            if content != 1:
+                row = {j: v // content for j, v in row.items()}
             c = min(row)
             p = pivots.get(c)
             if p is None:
-                inv = 1 / row[c]
-                pivots[c] = {j: v * inv for j, v in row.items()}
+                pivots[c] = row
                 break
-            _subtract_multiple(row, row[c], p)
+            a, b = cofactors(p[c], row[c])
+            if a != 1:
+                for j in row:
+                    row[j] *= a
+            _add_scaled(row, -b, p)
         if len(pivots) == ncols:
             break
-    return pivots
+    return {c: as_fractions(p, p[c]) for c, p in pivots.items()}
 
 
 def back_substitute(pivots: dict[int, dict]) -> dict[int, dict]:
@@ -320,21 +383,8 @@ def back_substitute(pivots: dict[int, dict]) -> dict[int, dict]:
         for j in [j for j in row if j != c and j in pivots]:
             # pivots[j] is already reduced, so this clears column j of row
             # and touches no other pivot column
-            _subtract_multiple(row, row[j], pivots[j])
+            _add_scaled(row, -row[j], pivots[j])
     return pivots
-
-
-def _subtract_multiple(row: dict, f, pivot_row: dict) -> None:
-    """row -= f * pivot_row, in place, dropping entries that cancel."""
-    for j, v in pivot_row.items():
-        if j in row:
-            x = row[j] - f * v
-            if x:
-                row[j] = x
-            else:
-                del row[j]
-        else:
-            row[j] = -(f * v)
 
 
 # ---------------------------------------------------------------------------
@@ -496,35 +546,40 @@ class ScalarMatrix:
         entries as constants in zero variables."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        d = _bareiss_det([[MultiPoly.const(0, c) for c in r] for r in self.entries])
-        return d.terms.get((), Fraction(0))
+        rows, dens = _integer_rows([[{(): c} if c else {} for c in r] for r in self.entries])
+        return _bareiss_det(rows, math.prod(dens), 0).terms.get((), Fraction(0))
 
     def __repr__(self):
         return f"ScalarMatrix({[list(map(str, r)) for r in self.entries]})"
 
 
-def _bareiss_det(m: list[list[MultiPoly]]) -> MultiPoly:
-    """Bareiss determinant of a square matrix of polynomials, in place.
+def _integer_rows(rows: list[list[dict]]) -> tuple[list[list[dict]], list[int]]:
+    """The rows of term maps, each over its lcm denominator, and those."""
+    dens = [common_denominator(*row) for row in rows]
+    return [[numerators(m, d) for m in row] for row, d in zip(rows, dens)], dens
 
-    Every division is exact, so it runs through MultiPoly.exact_div.
-    """
+
+def _bareiss_det(m: list[list[dict]], scale: int, nvars: int) -> MultiPoly:
+    """Bareiss determinant of a square matrix of integer term maps, in place,
+    over `scale`, the product of the factors that made its rows integral.
+    Every entry is a minor of that matrix, so each division is exact in Z[x]."""
     n = len(m)
     sign = 1
     prev = None
     for k in range(n - 1):
-        if m[k][k].is_zero:
-            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
             if swap is None:
-                return MultiPoly.zero(m[k][k].nvars)
+                return MultiPoly.zero(nvars)
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num if prev is None else num.exact_div(prev)
+                num = _product(m[k][k], m[i][j])
+                _add_scaled(num, -1, _product(m[i][k], m[k][j]))
+                m[i][j] = num if prev is None else _divide_exact(num, prev)
         prev = m[k][k]
-    d = m[n - 1][n - 1]
-    return -d if sign < 0 else d
+    return MultiPoly(nvars, as_fractions(m[n - 1][n - 1], sign * scale))
 
 
 # ---------------------------------------------------------------------------
@@ -630,16 +685,19 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in PolyMatrix product")
-        ot = list(zip(*other.entries))
+        left = [[integer_form(p.terms) for p in row] for row in self.entries]
+        right = [[integer_form(p.terms) for p in col] for col in zip(*other.entries)]
         out = []
-        for row in self.entries:
+        for row in left:
             out_row = []
-            for col in ot:
-                acc = MultiPoly.zero(self.nvars)
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = acc + a * b
-                out_row.append(acc)
+            for col in right:
+                # each product cancels on its own, then joins the sum over one lcm
+                pairs = [(a, b, da * db) for (a, da), (b, db) in zip(row, col) if a and b]
+                den = math.lcm(*(d for _, _, d in pairs))
+                acc: dict = {}
+                for a, b, d in pairs:
+                    _add_scaled(acc, den // d, _product(a, b))
+                out_row.append(MultiPoly(self.nvars, as_fractions(acc, den)))
             out.append(out_row)
         return PolyMatrix(out)
 
@@ -657,13 +715,8 @@ class PolyMatrix:
         """Multiply by a constant vector on the right."""
         if len(vec) != self.cols:
             raise ValueError("vector dimension mismatch")
-        out = []
-        for row in self.entries:
-            acc = MultiPoly.zero(self.nvars)
-            for p, c in zip(row, vec):
-                acc = acc + p * c
-            out.append(acc)
-        return out
+        zero = MultiPoly.zero(self.nvars)
+        return [sum((p * c for p, c in zip(row, vec)), zero) for row in self.entries]
 
     def minors(self, size: int) -> list[MultiPoly]:
         """All size x size minor determinants, via Bareiss elimination."""
@@ -671,11 +724,13 @@ class PolyMatrix:
             raise ValueError(
                 f"minor size {size} out of range for {self.rows}x{self.cols}"
             )
+        rows, dens = _integer_rows([[p.terms for p in row] for row in self.entries])
         out = []
         for rsel in itertools.combinations(range(self.rows), size):
+            scale = math.prod(dens[i] for i in rsel)
             for csel in itertools.combinations(range(self.cols), size):
-                sub = [[self.entries[i][j] for j in csel] for i in rsel]
-                out.append(_bareiss_det(sub))
+                sub = [[rows[i][j] for j in csel] for i in rsel]
+                out.append(_bareiss_det(sub, scale, self.nvars))
         return out
 
     def charpoly(self) -> list[MultiPoly]:

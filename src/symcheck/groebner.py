@@ -13,15 +13,21 @@ by the rank of one Macaulay matrix.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import add, sub
 from typing import Optional, Sequence
 
 from .exact import (
     MultiPoly,
     PolyMatrix,
+    as_fractions,
+    cofactors,
+    common_denominator,
     forward_eliminate,
     grevlex_key,
+    integer_form,
     monomials_of_degree,
+    numerators,
 )
 
 ModuleElement = tuple  # tuple[MultiPoly, ...]
@@ -29,6 +35,8 @@ ModuleElement = tuple  # tuple[MultiPoly, ...]
 # Widest Macaulay matrix zero_dim_origin builds; past it the origin test
 # raises MacaulayBudgetExceeded (the command line exits 3).
 MACAULAY_MAX_COLUMNS = 2000
+# Most S-pairs one Buchberger run processes (GroebnerBudgetExceeded, exit 3).
+GROEBNER_MAX_SPAIRS = 5000
 
 
 class MacaulayBudgetExceeded(Exception):
@@ -41,6 +49,10 @@ class MacaulayBudgetExceeded(Exception):
             f"(budget {MACAULAY_MAX_COLUMNS})"
         )
         self.columns = columns
+
+
+class GroebnerBudgetExceeded(Exception):
+    """A Buchberger run would process more than GROEBNER_MAX_SPAIRS S-pairs."""
 
 
 class TermOrder:
@@ -76,10 +88,10 @@ def _polys(m: dict, length: int, nvars: int) -> list[MultiPoly]:
     return [MultiPoly(nvars, p) for p in parts]
 
 
-def _add_multiple(target: dict, c: Fraction, shift: tuple[int, ...], source: dict):
+def _add_multiple(target: dict, c: int, shift: tuple[int, ...], source: dict):
     """target += c * x^shift * source, in place; terms that cancel are dropped."""
     for (pos, exp), v in source.items():
-        key = (pos, tuple(a + b for a, b in zip(exp, shift)))
+        key = (pos, tuple(map(add, exp, shift)))
         s = target.get(key, 0) + c * v
         if s:
             target[key] = s
@@ -92,9 +104,10 @@ class GroebnerBasis:
 
     `generators` are the reduced basis elements (module elements); `reps[i]`
     expresses generators[i] as a polynomial combination of the original
-    input generators.  Inside, each basis entry is a triple (element,
-    representation, leading term), both term maps {(position, exponent):
-    Fraction}; a representation's positions are the input generators.
+    input generators.  Inside, each basis entry is (element, representation,
+    leading term, integer form): term maps {(position, exponent): Fraction},
+    a representation's positions being the input generators, and (G, Grep,
+    den), their numerators over one positive common denominator.
     """
 
     def __init__(self, gens: Sequence[ModuleElement], order: TermOrder):
@@ -108,69 +121,86 @@ class GroebnerBasis:
         self.input_gens = gens
         self._basis = self._autoreduce(self._buchberger())
         nv = self.nvars
-        self.generators = [tuple(_polys(g, self.rank, nv)) for g, _, _ in self._basis]
-        self.reps = [_polys(rep, len(gens), nv) for _, rep, _ in self._basis]
+        self.generators = [tuple(_polys(b[0], self.rank, nv)) for b in self._basis]
+        self.reps = [_polys(b[1], len(gens), nv) for b in self._basis]
 
     # -- construction ----------------------------------------------------
 
     def _lead(self, g: dict) -> tuple[int, tuple[int, ...]]:
         return max(g, key=self.order.module_key)
 
-    def _reduce(self, f: dict, rep: Optional[dict], basis) -> dict:
-        """Division of f by `basis` (first divisor wins), consuming f.
+    def _entry(self, g: dict, rep: dict) -> tuple:
+        den = common_denominator(g, rep)
+        return g, rep, self._lead(g), (numerators(g, den), numerators(rep, den), den)
 
-        Returns the remainder, no term of which is divisible by a leading
-        term of the basis.  Each step subtracts c * x^u * g from f and,
-        unless rep is None, c * x^u * (the representation of g) from rep.
+    def _reduce(self, F: dict, R: Optional[dict], den: int, basis) -> tuple[dict, int]:
+        """Division of F / den by `basis` (first divisor wins), consuming the
+        integer term maps F and R (a representation, or None).
+
+        Returns the remainder, as Fractions, no term of which is divisible
+        by a leading term of the basis, and the denominator R ends over.
+        With (G, Grep) the integer form of the divisor g, a step scales F, R
+        and den by a and subtracts b * x^u * (G, Grep) (`cofactors`).
         """
         rem = {}
-        while f:
-            lead = self._lead(f)
+        while F:
+            lead = self._lead(F)
             pos, exp = lead
             hit = next((b for b in basis if b[2][0] == pos
                         and all(x <= y for x, y in zip(b[2][1], exp))), None)
             if hit is None:
-                rem[lead] = f.pop(lead)
+                rem[lead] = Fraction(F.pop(lead), den)
                 continue
-            g, grep, glead = hit
-            shift = tuple(a - b for a, b in zip(exp, glead[1]))
-            c = -f[lead] / g[glead]
-            _add_multiple(f, c, shift, g)
-            if rep is not None:
-                _add_multiple(rep, c, shift, grep)
-        return rem
+            _, _, glead, (G, Grep, _) = hit
+            shift = tuple(map(sub, exp, glead[1]))
+            a, b = cofactors(G[glead], F[lead])
+            if a != 1:
+                den *= a
+                for m in (F, R or {}):
+                    for k in m:
+                        m[k] *= a
+            _add_multiple(F, -b, shift, G)
+            if R is not None:
+                _add_multiple(R, -b, shift, Grep)
+        return rem, den
 
     @staticmethod
     def _spair(a, b):
-        """S-pair of two basis entries with its representation, or None when
+        """S-pair of two basis entries and its representation, as integer
+        term maps over one denominator, and that denominator; None when
         their leading terms sit in different positions."""
-        (g, grep, (gp, ge)), (h, hrep, (hp, he)) = a, b
+        (gp, ge), (hp, he) = a[2], b[2]
         if gp != hp:
             return None
-        lcm = tuple(max(x, y) for x, y in zip(ge, he))
-        ug = tuple(x - y for x, y in zip(lcm, ge))
-        uh = tuple(x - y for x, y in zip(lcm, he))
-        cg, ch = Fraction(1) / g[gp, ge], -Fraction(1) / h[hp, he]
+        top = tuple(map(max, ge, he))
+        (G, Grep, _), (H, Hrep, _) = a[3], b[3]
+        den = lcm(G[gp, ge], H[hp, he])
         s, rep = {}, {}
-        for target, x, y in ((s, g, h), (rep, grep, hrep)):
-            _add_multiple(target, cg, ug, x)
-            _add_multiple(target, ch, uh, y)
-        return s, rep
+        for target, x, y in ((s, G, H), (rep, Grep, Hrep)):
+            _add_multiple(target, den // G[gp, ge], tuple(map(sub, top, ge)), x)
+            _add_multiple(target, -(den // H[hp, he]), tuple(map(sub, top, he)), y)
+        return s, rep, den
 
     def _buchberger(self) -> list:
         basis: list = []
 
-        def add(f, rep) -> bool:
-            rem = self._reduce(f, rep, basis)
+        def add(F, R, den) -> bool:
+            rem, den = self._reduce(F, R, den, basis)
             if rem:
-                basis.append((rem, rep, self._lead(rem)))
+                basis.append(self._entry(rem, as_fractions(R, den)))
             return bool(rem)
 
         zero = (0,) * self.nvars
         for i, g in enumerate(self.input_gens):
-            add(_term_map(g), {(i, zero): Fraction(1)})
+            F, den = integer_form(_term_map(g))
+            add(F, {(i, zero): den}, den)
         pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
+        processed = 0
         while pairs:
+            processed += 1
+            if processed > GROEBNER_MAX_SPAIRS:
+                raise GroebnerBudgetExceeded(
+                    f"Groebner basis needs more than {GROEBNER_MAX_SPAIRS} S-pairs")
             i, j = pairs.pop(0)
             n = len(basis)
             pair = self._spair(basis[i], basis[j])
@@ -183,55 +213,56 @@ class GroebnerBasis:
         changed = True
         while changed:
             changed = False
-            for i, (g, rep, _) in enumerate(basis):
-                rep = dict(rep)
-                rem = self._reduce(dict(g), rep, basis[:i] + basis[i + 1 :])
+            for i, (g, _, _, (G, Grep, den)) in enumerate(basis):
+                R = dict(Grep)
+                rem, den = self._reduce(dict(G), R, den, basis[:i] + basis[i + 1 :])
                 if not rem:
                     del basis[i]
                     changed = True
                     break
                 changed = changed or rem != g
-                basis[i] = (rem, rep, self._lead(rem))
-        for g, rep, lead in basis:
+                basis[i] = self._entry(rem, as_fractions(R, den))
+        for i, (g, rep, lead, _) in enumerate(basis):
             inv = Fraction(1) / g[lead]
-            for m in (g, rep):
-                for k in m:
-                    m[k] *= inv
+            basis[i] = self._entry({k: v * inv for k, v in g.items()},
+                                   {k: v * inv for k, v in rep.items()})
         # deterministic ordering by leading term
         basis.sort(key=lambda b: self.order.module_key(b[2]))
         return basis
 
     # -- queries ----------------------------------------------------------
 
-    def _remainder(self, f: ModuleElement, rep: Optional[dict] = None) -> dict:
+    def _remainder(self, f: ModuleElement, R: Optional[dict] = None) -> tuple[dict, int]:
         f = tuple(f)
         if len(f) != self.rank:
             raise ValueError("module rank mismatch")
-        return self._reduce(_term_map(f), rep, self._basis)
+        F, den = integer_form(_term_map(f))
+        return self._reduce(F, R, den, self._basis)
 
     def normal_form(self, f: ModuleElement) -> ModuleElement:
         """Unique remainder of f modulo the basis."""
-        return tuple(_polys(self._remainder(f), self.rank, self.nvars))
+        return tuple(_polys(self._remainder(f)[0], self.rank, self.nvars))
 
     def express(self, target: ModuleElement):
         """Coefficients q_1..q_n with target = sum q_j * input_gens[j], or
         None if target is not in the module.
 
-        Reducing target to zero tracks -sum q_j * input_gens[j] in `rep`;
+        Reducing target to zero tracks -sum q_j * input_gens[j] in `R`;
         the coefficients are read off it and not multiplied out here, so a
         caller checks the identity it relies on (as `construct_L` and
         `module_member_with_coeffs` do).
         """
-        rep: dict = {}
-        if self._remainder(target, rep):
+        R: dict = {}
+        rem, den = self._remainder(target, R)
+        if rem:
             return None
-        return [-q for q in _polys(rep, len(self.input_gens), self.nvars)]
+        return _polys(as_fractions(R, -den), len(self.input_gens), self.nvars)
 
     def contains(self, f: ModuleElement) -> bool:
-        return not self._remainder(f)
+        return not self._remainder(f)[0]
 
     def leading_exponents(self) -> list[tuple[int, tuple[int, ...]]]:
-        return [lead for _, _, lead in self._basis]
+        return [b[2] for b in self._basis]
 
     def verify(self) -> bool:
         """Buchberger criterion: every S-pair reduces to zero (exhaustive)."""
@@ -239,7 +270,7 @@ class GroebnerBasis:
         for i, a in enumerate(basis):
             for b in basis[:i]:
                 pair = self._spair(a, b)
-                if pair is not None and self._reduce(pair[0], None, basis):
+                if pair is not None and self._reduce(pair[0], None, pair[2], basis)[0]:
                     return False
         # the input generators must reduce to zero as well
         return all(self.contains(g) for g in self.input_gens)
@@ -291,9 +322,10 @@ def zero_dim_origin(gens: Sequence[MultiPoly]) -> bool:
     # grevlex-descending columns: the elimination fills in less than in lex
     monomials = sorted(monomials_of_degree(nvars, D), key=grevlex_key, reverse=True)
     column = {m: j for j, m in enumerate(monomials)}
+    # each generator scaled to integers once: scaling a row keeps the rank
     rows = (
-        {column[tuple(a + b for a, b in zip(c, e))]: v for e, v in g.terms.items()}
-        for g, d in zip(gens, degrees)
+        {column[tuple(map(add, c, e))]: v for e, v in g.items()}
+        for g, d in zip([integer_form(g.terms)[0] for g in gens], degrees)
         for c in monomials_of_degree(nvars, D - d)
     )
     return len(forward_eliminate(rows, ncols)) == ncols

@@ -1164,3 +1164,123 @@ class ReferenceGroebnerBasis:
             if not q.is_zero:
                 coeffs = [c + q * r for c, r in zip(coeffs, rep)]
         return coeffs
+
+
+# ---------------------------------------------------------------------------
+# The exact kernels over Fraction, as they were before they computed on
+# integer numerators over one denominator; the differential tests compare
+# values and term order with them
+# ---------------------------------------------------------------------------
+
+
+def reference_mul(p, q):
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = terms.get(e, 0) + c1 * c2
+            if s == 0:
+                terms.pop(e, None)
+            else:
+                terms[e] = s
+    return MultiPoly(p.nvars, terms)
+
+
+def reference_matmul(P, Q):
+    out = []
+    for row in P.entries:
+        out_row = []
+        for col in zip(*Q.entries):
+            acc = MultiPoly.zero(P.nvars)
+            for a, b in zip(row, col):
+                if a and b:
+                    acc = acc + reference_mul(a, b)
+            out_row.append(acc)
+        out.append(out_row)
+    return PolyMatrix(out)
+
+
+def reference_exact_div(p, divisor):
+    if divisor.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    dexp = max(divisor.terms, key=exact.grlex_key)
+    dc = divisor.terms[dexp]
+    rem, qterms = p, {}
+    while not rem.is_zero:
+        rexp = max(rem.terms, key=exact.grlex_key)
+        qexp = tuple(a - b for a, b in zip(rexp, dexp))
+        if any(e < 0 for e in qexp):
+            raise ArithmeticError("inexact polynomial division")
+        qc = rem.terms[rexp] / dc
+        qterms[qexp] = qterms.get(qexp, 0) + qc
+        rem = rem - reference_mul(MultiPoly.monomial(p.nvars, qexp, qc), divisor)
+    return MultiPoly(p.nvars, qterms)
+
+
+def reference_bareiss_det(m):
+    """Bareiss over Fraction polynomials, in place."""
+    n = len(m)
+    sign = 1
+    prev = None
+    for k in range(n - 1):
+        if m[k][k].is_zero:
+            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
+            if swap is None:
+                return MultiPoly.zero(m[k][k].nvars)
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = reference_mul(m[k][k], m[i][j]) - reference_mul(m[i][k], m[k][j])
+                m[i][j] = num if prev is None else reference_exact_div(num, prev)
+        prev = m[k][k]
+    d = m[n - 1][n - 1]
+    return -d if sign < 0 else d
+
+
+def reference_minors(M, size):
+    return [reference_bareiss_det([[M.entries[i][j] for j in csel] for i in rsel])
+            for rsel in itertools.combinations(range(M.rows), size)
+            for csel in itertools.combinations(range(M.cols), size)]
+
+
+def reference_det(S):
+    d = reference_bareiss_det([[MultiPoly.const(0, c) for c in r] for r in S.entries])
+    return d.terms.get((), Fraction(0))
+
+
+def _reference_subtract_multiple(row, f, pivot_row):
+    for j, v in pivot_row.items():
+        if j in row:
+            x = row[j] - f * v
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+        else:
+            row[j] = -(f * v)
+
+
+def reference_forward_eliminate(rows, ncols):
+    """Sparse echelon over Fraction, reducing the rows in place."""
+    pivots = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            p = pivots.get(c)
+            if p is None:
+                inv = 1 / row[c]
+                pivots[c] = {j: v * inv for j, v in row.items()}
+                break
+            _reference_subtract_multiple(row, row[c], p)
+        if len(pivots) == ncols:
+            break
+    return pivots
+
+
+def reference_back_substitute(pivots):
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for j in [j for j in row if j != c and j in pivots]:
+            _reference_subtract_multiple(row, row[j], pivots[j])
+    return pivots

@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import symcheck
-from symcheck import analysis, cli, numerics, operators
+from symcheck import analysis, cli, groebner, numerics, operators
 from symcheck.cli import main
 from symcheck.operators import DiffOp, catalog, grad_power, op_to_dict, save_op
-from helpers import grid_hiding_pair
+from helpers import grid_hiding_pair, tf_sym_gradient
 
 
 @pytest.fixture
@@ -183,6 +183,16 @@ class TestBudget:
         save_op(grad_power(3, 1, 6), path)
         assert main(["analyze", "--op", str(path)]) == 3
         assert "budget" in capsys.readouterr().err
+
+    def test_factorization_past_the_spair_cap_exits_3(self, tmp_path, capsys, monkeypatch):
+        # construct_L's module basis for tf_sym_gradient(3) -> D processes
+        # 66 S-pairs
+        monkeypatch.setattr(groebner, "GROEBNER_MAX_SPAIRS", 20)
+        calA, A = tmp_path / "tf.json", tmp_path / "D.json"
+        save_op(tf_sym_gradient(3), calA)
+        save_op(grad_power(1, 3, 3), A)
+        assert main(["compare", "-a", str(calA), "-A", str(A)]) == 3
+        assert "budget exceeded: Groebner basis needs more than 20 S-pairs" in capsys.readouterr().err
 
 
 class TestCompare:

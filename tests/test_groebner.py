@@ -6,16 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 import symcheck.analysis as analysis
 from symcheck.analysis import HypothesesNotMet, construct_L, generic_rank, kernel_inclusion
+from symcheck import groebner
 from symcheck.exact import MultiPoly, monomials_of_degree
 from symcheck.groebner import (
     GroebnerBasis,
+    GroebnerBudgetExceeded,
     TermOrder,
     buchberger_ideal,
     module_member_with_coeffs,
     zero_dim_origin,
 )
 from symcheck.operators import OperatorPair, catalog, serialize_op
-from helpers import ReferenceGroebnerBasis, rand_homogeneous, rand_op, rand_poly
+from helpers import ReferenceGroebnerBasis, rand_homogeneous, rand_op, rand_poly, tf_sym_gradient
 
 
 def P(nvars, terms):
@@ -295,6 +297,16 @@ class TestMatchesReference:
             for target in (member, other):
                 assert G.express(target) == R.express(target)
 
+    def test_tail_reduced_entry_divides_by_its_new_form(self):
+        # the tail reduction changes an entry that later divides another;
+        # an integer form left from before it gives other representations
+        x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        gens = [(-x * x - x * y - 3 * y * y,), (2 * x * x,), (2 * x * x - 3 * y * y,), (2 * y,)]
+        G = GroebnerBasis(gens, TermOrder())
+        R = ReferenceGroebnerBasis(gens, TermOrder())
+        assert G.generators == R.generators
+        assert G.reps == R.reps
+
     def test_zero_generators(self):
         rng = random.Random(29)
         zero = (MultiPoly.zero(2),) * 2
@@ -386,3 +398,15 @@ class TestZeroDimOrigin:
         # the Macaulay matrix at degree 40 * 39 + 1 is never built
         xi1_40 = MultiPoly.monomial(40, (40,) + (0,) * 39)
         assert zero_dim_origin([xi1_40]) is False
+
+
+class TestSPairBudget:
+    def test_the_cap_counts_the_processed_pairs(self, monkeypatch):
+        # the module basis of the trace-free symmetric gradient in N = 3
+        # processes 66 S-pairs
+        gens = tf_sym_gradient(3).symbol().entries
+        monkeypatch.setattr(groebner, "GROEBNER_MAX_SPAIRS", 66)
+        assert len(GroebnerBasis(gens, TermOrder()).generators) == 12
+        monkeypatch.setattr(groebner, "GROEBNER_MAX_SPAIRS", 65)
+        with pytest.raises(GroebnerBudgetExceeded, match="more than 65 S-pairs"):
+            GroebnerBasis(gens, TermOrder())

@@ -24,9 +24,15 @@ the image, hashed the same way; the benchmark lifts two targets per seed.
 Then ``factorization LABEL sha256`` lines hash, the same way, ``construct_L``
 (with the serialized L) on every korn pair (equal N, d and order) and
 sobolev pair among those catalog entries, full gradients and identities, on
-the trace-free symmetric gradient in N = 3 against D (s = 2) and on a
-random 4x2 and 1x2 pair of order 2 in N = 3 drawn from random.Random(1)
-(s = 4); a benchmark pass builds six (five in certify, one in numerics).
+the trace-free symmetric gradient in N = 3 against D (s = 2) and on the
+random 4x2 and 1x2 pairs of order 2 in N = 3 drawn from random.Random(1),
+(2) and (3) (s = 4); a benchmark pass builds six (five in certify, one in
+numerics). Then ``wide LABEL sha256`` lines hash inputs wider than the
+benchmark's: ``symcheck analyze`` of the random 8x4 order-1 operator in
+N = 3 drawn from random.Random(1) (exit code, output and report, as for a
+benchmark operation), and ``zero_dim_origin`` of three dense quartics in
+N = 3 with seeded rational coefficients, once as drawn (only the origin)
+and once made to vanish at (1, 2, -1).
 Then ``numerics LABEL sha256`` lines hash, the same way, parameters the
 benchmark never runs: ``korn_constant_p2`` with 500 samples and seeds 0
 and 1 on the pairs of ``TestBitIdentity`` whose kernel inclusion holds,
@@ -56,10 +62,10 @@ os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"  # as p
 sys.path[:0] = [str(src), str(ROOT / "perfbench")]
 import symcheck  # noqa: E402
 import workloads  # noqa: E402
-from symcheck import analysis, numerics  # noqa: E402
+from symcheck import analysis, groebner, numerics  # noqa: E402
 from symcheck.exact import MultiPoly, monomials_of_degree  # noqa: E402
 from symcheck.operators import (  # noqa: E402
-    DiffOp, OperatorFormatError, OperatorPair, catalog, grad_power, serialize_op)
+    DiffOp, OperatorFormatError, OperatorPair, catalog, grad_power, save_op, serialize_op)
 
 if not Path(symcheck.__file__).resolve().is_relative_to(src):
     sys.exit(f"symcheck imported from {symcheck.__file__}, not from {src}")
@@ -142,14 +148,40 @@ factor_pairs = [(f"{a} -> {b}/{MODES[calA.k - A.k]}", OperatorPair(calA, A, MODE
                 if (calA.N, calA.d) == (A.N, A.d) and calA.k - A.k in MODES]
 factor_pairs.append(("tf_sym_gradient/3 -> D/3", OperatorPair(
     workloads.tf_sym_gradient(3), grad_power(1, 3, 3))))
-rung = random.Random(1)
-factor_pairs.append(("s=4 rung/1", OperatorPair(workloads.random_op(rung, "calA", 3, 2, 4, 2),
-                                                workloads.random_op(rung, "A", 3, 2, 1, 2))))
+for seed in (1, 2, 3):
+    rung = random.Random(seed)
+    factor_pairs.append((f"s=4 rung/{seed}", OperatorPair(
+        workloads.random_op(rung, "calA", 3, 2, 4, 2), workloads.random_op(rung, "A", 3, 2, 1, 2))))
 for label, pair in factor_pairs:
     cert, text = outcome(analysis.construct_L, pair)
     if cert is not None:
         text += serialize_op(cert.L)
     print("factorization", label, hashlib.sha256(text.encode()).hexdigest(), flush=True)
+
+shutil.rmtree(WORKDIR, ignore_errors=True)
+WORKDIR.mkdir()
+save_op(workloads.random_op(random.Random(1), "random8x4", 3, 4, 8, 1), WORKDIR / "wide.json")
+text = workloads.cli_op("wide", ["analyze", "--op", str(WORKDIR / "wide.json")],
+                        WORKDIR / "wide-report.json", None).run().fingerprint()
+print("wide", "analyze/random8x4", hashlib.sha256(text.encode()).hexdigest(), flush=True)
+
+
+def dense_quartics(zero=None):
+    """Three quartics in N = 3, every coefficient a seeded rational; with
+    `zero`, each is made to vanish there through its x_1^4 coefficient."""
+    rng, out = random.Random(43), []
+    for _ in range(3):
+        p = MultiPoly(3, {m: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                          for m in monomials_of_degree(3, 4)})
+        if zero is not None:
+            p = p - MultiPoly.monomial(3, (4, 0, 0), p.evaluate(zero) / Fraction(zero[0]) ** 4)
+        out.append(p)
+    return out
+
+
+for label, zero in (("origin only", None), ("zero at (1, 2, -1)", (1, 2, -1))):
+    text = outcome(groebner.zero_dim_origin, dense_quartics(zero))[1]
+    print("wide", f"zero_dim_origin/{label}", hashlib.sha256(text.encode()).hexdigest(), flush=True)
 
 
 def reweighted(op, weights):
