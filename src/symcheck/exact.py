@@ -262,11 +262,6 @@ class MultiPoly:
             return degs.pop()
         return None
 
-    def homogeneous_component(self, deg: int) -> "MultiPoly":
-        return MultiPoly(
-            self.nvars, {e: c for e, c in self.terms.items() if sum(e) == deg}
-        )
-
     def evaluate(self, point: Sequence):
         """Exact evaluation at a point of Fractions (or ints)."""
         if len(point) != self.nvars:
@@ -419,10 +414,6 @@ class ScalarMatrix:
         return cls(
             [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
         )
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ScalarMatrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)])
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence]) -> "ScalarMatrix":

@@ -277,69 +277,45 @@ def _symbol_quotient_norm(pair: OperatorPair):
 
 
 # Sample directions korn_constant_p2 evaluates in one stacked call, so that
-# memory stays bounded for any number of samples.
+# memory stays bounded for any number of samples; a round of refinements
+# takes at most half as many, two points each.
 KORN2_BLOCK = 1024
-
-# Golden-section steps korn_constant_p2 takes per stacked call: the call holds
-# every point those steps could ask for, 1 + 2 + 4 of them.
-KORN2_LOOKAHEAD = 3
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _golden_step(a, b, left, right, up):
-    """One golden-section step on [a, b] with inner points left < right: keep
-    [left, b] if ``up`` (the value at right is the larger), else [a, right].
-    Returns the new (a, b, left, right) and the point the step asks for."""
-    if up:
-        a = left
-        new = a + _INVPHI * (b - a)
-        return (a, b, right, new), new
-    b = right
-    new = a + (1 - _INVPHI) * (b - a)
-    return (a, b, new, left), new
+    """One golden-section step on [a, b] with inner points left < right,
+    elementwise: keep [left, b] where ``up`` (the value at right is the
+    larger), else [a, right]. Returns the new (a, b, left, right) and the
+    points the step asks for."""
+    a, b = np.where(up, left, a), np.where(up, b, right)
+    new = np.where(up, a + _INVPHI * (b - a), a + (1 - _INVPHI) * (b - a))
+    return a, b, np.where(up, right, new), np.where(up, new, left), new
 
 
-def _golden_section(values_at, h: float, steps: int):
-    """Golden-section search for the largest value on [-h, h]: the inner
-    pair, ``steps`` >= 1 steps, then the midpoint of the last interval.
+def _golden_sections(values_at, hs, steps: int):
+    """Golden-section searches for the largest value on [-h, h], one per h,
+    in lockstep: the inner pairs, ``steps`` >= 1 steps, then the midpoint of
+    each last interval.
 
-    ``values_at`` maps a list of thetas to their values in one stacked call.
-    A call holds every point the next KORN2_LOOKAHEAD steps could ask for
-    (the midpoint rides with the last step), and the search then walks the
-    path that the values choose. Every theta has the bits of the one-step
-    loop. Returns the midpoint and the largest of its value and the last
-    pair's.
+    ``values_at`` maps an array of thetas, one row per search, to their
+    values in one stacked call. One call holds every inner pair, then one
+    call per step holds each search's next point, and the midpoints ride
+    with the last step. Every theta has the bits of the one-point loop.
+    Returns each midpoint and the largest of its value and the last pair's.
     """
-    a, b = -h, h
-    state = (a, b, a + (1 - _INVPHI) * (b - a), a + _INVPHI * (b - a))
-    v_left, v_right = values_at(state[2:])
-    for start in range(0, steps, KORN2_LOOKAHEAD):
-        depth = min(KORN2_LOOKAHEAD, steps - start)
-        # each state the next steps reach, keyed by the comparisons on the way
-        # there; the first comparison is known already
-        reach = {(v_left < v_right,): _golden_step(*state, v_left < v_right)}
-        paths = list(reach)
-        for _ in range(depth - 1):
-            paths = [path + (up,) for path in paths for up in (True, False)]
-            for path in paths:
-                reach[path] = _golden_step(*reach[path[:-1]][0], path[-1])
-        thetas = [new for _, new in reach.values()]
-        if start + depth == steps:
-            thetas += [(reach[path][0][0] + reach[path][0][1]) / 2 for path in paths]
-        values = values_at(thetas)
-        value = dict(zip(reach, values))
-        path = ()
-        for _ in range(depth):
-            path += (v_left < v_right,)
-            state = reach[path][0]
-            if path[-1]:
-                v_left, v_right = v_right, value[path]
-            else:
-                v_left, v_right = value[path], v_left
-    midpoint = values[len(reach) + paths.index(path)]
-    theta = (state[0] + state[1]) / 2
-    return theta, max(midpoint, v_left, v_right)
+    b = np.array(hs, dtype=float)
+    a = -b
+    left, right = a + (1 - _INVPHI) * (b - a), a + _INVPHI * (b - a)
+    v_left, v_right = values_at(np.stack([left, right], axis=1)).T
+    for step in range(steps):
+        up = v_left < v_right
+        a, b, left, right, new = _golden_step(a, b, left, right, up)
+        values = values_at(np.stack([new, (a + b) / 2], axis=1) if step == steps - 1
+                           else new[:, None])
+        v_left, v_right = np.where(up, v_right, values[:, 0]), np.where(up, values[:, 0], v_left)
+    return (a + b) / 2, [max(mid, vl, vr) for mid, vl, vr in zip(values[:, 1], v_left, v_right)]
 
 
 def korn_constant_p2(
@@ -377,28 +353,45 @@ def korn_constant_p2(
                 raise UnboundedSuspected("running supremum exceeded 1e6")
             if val > best_val:
                 best_val, best_xi = val, xi
-    # local golden-section refinement along tangent directions
-    h = 0.5
-    for _ in range(refine_iters):
-        t = rng.standard_normal(N)
-        t -= t @ best_xi * best_xi
-        norm_t = np.linalg.norm(t)
-        if norm_t < 1e-14:
-            continue
-        t /= norm_t
+    # local golden-section refinement along tangent directions, in rounds: a
+    # round runs the pending refinements side by side from the same best_xi,
+    # and the first that improves on best_val ends it, the later ones running
+    # again in the next round. Each refinement draws its own tangent, in order;
+    # a skipped one (tangent along best_xi) keeps h.
+    h, draws, done = 0.5, np.empty((0, N)), 0
+    while done < refine_iters:
+        count = min(KORN2_BLOCK // 2, refine_iters - done)
+        draws = np.concatenate([draws, rng.standard_normal((count - len(draws), N))])
+        runs = []  # (refinement, h, tangent)
+        for i, t in enumerate(draws):
+            t = t - t @ best_xi * best_xi
+            norm_t = np.linalg.norm(t)
+            if norm_t < 1e-14:
+                continue
+            runs.append((i, h, t / norm_t))
+            h = max(h * 0.8, 1e-4)
+        tangents = np.array([t for _, _, t in runs])
 
         def values_at(thetas):
-            return quotient_norm(np.array(
-                [math.cos(theta) * best_xi + math.sin(theta) * t for theta in thetas]))
+            # math.cos and math.sin, as np.cos and np.sin may round otherwise
+            cos = np.array([math.cos(theta) for theta in thetas.flat]).reshape(thetas.shape)
+            sin = np.array([math.sin(theta) for theta in thetas.flat]).reshape(thetas.shape)
+            points = cos[..., None] * best_xi + sin[..., None] * tangents[:, None]
+            return quotient_norm(points.reshape(-1, N)).reshape(thetas.shape)
 
-        theta, cand = _golden_section(values_at, h, 40)
-        if cand > best_val:
-            best_val = cand
-            best_xi = math.cos(theta) * best_xi + math.sin(theta) * t
-            best_xi /= np.linalg.norm(best_xi)
-        h = max(h * 0.8, 1e-4)
-        if best_val > 1e6:
-            raise UnboundedSuspected("running supremum exceeded 1e6")
+        hs = [h_run for _, h_run, _ in runs]
+        thetas, cands = _golden_sections(values_at, hs, 40) if runs else ((), ())
+        for (i, h_run, t), theta, cand in zip(runs, thetas, cands):
+            if cand > best_val:
+                best_val = cand
+                best_xi = math.cos(theta) * best_xi + math.sin(theta) * t
+                best_xi /= np.linalg.norm(best_xi)
+                if best_val > 1e6:
+                    raise UnboundedSuspected("running supremum exceeded 1e6")
+                h, done, draws = max(h_run * 0.8, 1e-4), done + i + 1, draws[i + 1:]
+                break
+        else:
+            done, draws = done + count, draws[count:]
     return float(best_val)
 
 

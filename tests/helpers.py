@@ -124,6 +124,16 @@ def rand_point(rng, N, span=5):
             return pt
 
 
+def homogeneous_component(p, deg):
+    """The terms of p of total degree deg."""
+    return MultiPoly(p.nvars, {e: c for e, c in p.terms.items() if sum(e) == deg})
+
+
+def scalar_zeros(rows, cols):
+    """The rows x cols ScalarMatrix of zeros."""
+    return ScalarMatrix([[Fraction(0)] * cols for _ in range(rows)])
+
+
 def rand_pencil(rng, N, planted=None, definite=False):
     """Random 2x1 order-2 operator: two quadrics in N variables.
 
@@ -410,9 +420,11 @@ def reference_golden_section(val_at, h, steps=40):
 
 def reference_korn_constant_p2(pair, samples, refine_iters=80, seed=0):
     """Sup of the quotient norm over sampled unit xi, one xi at a time, then
-    golden-section refinement along random tangents; also every xi at which
-    the norm was evaluated, in order. The pair's kernel inclusion must hold
-    and the supremum must stay bounded."""
+    golden-section refinement along random tangents. Also returns every
+    sampled xi, in order, and one (points, improved) entry per refinement
+    that ran: the xi at which it evaluated the norm, in order, and whether
+    it raised the supremum. The pair's kernel inclusion must hold and the
+    supremum must stay bounded."""
     points = []
 
     def quotient_norm(xi):
@@ -429,6 +441,7 @@ def reference_korn_constant_p2(pair, samples, refine_iters=80, seed=0):
         val = quotient_norm(xi)
         if val > best_val:
             best_val, best_xi = val, xi
+    sampled, refinements = points, []
     h = 0.5
     for _ in range(refine_iters):
         t = rng.standard_normal(N)
@@ -442,13 +455,15 @@ def reference_korn_constant_p2(pair, samples, refine_iters=80, seed=0):
             x = math.cos(theta) * best_xi + math.sin(theta) * t
             return quotient_norm(x)
 
+        points = []  # quotient_norm appends to this refinement's list
         theta, cand = reference_golden_section(val_at, h)
+        refinements.append((points, cand > best_val))
         if cand > best_val:
             best_val = cand
             best_xi = math.cos(theta) * best_xi + math.sin(theta) * t
             best_xi /= np.linalg.norm(best_xi)
         h = max(h * 0.8, 1e-4)
-    return best_val, points
+    return best_val, sampled, refinements
 
 
 def _reference_phases(u, X):
@@ -775,7 +790,7 @@ def _reference_factor_at_s(sym_A, basis, s, N):
             if target_deg is None:
                 homog = [MultiPoly.zero(N) for _ in coeffs]
             else:
-                homog = [c.homogeneous_component(target_deg - k_gen) for c in coeffs]
+                homog = [homogeneous_component(c, target_deg - k_gen) for c in coeffs]
                 acc = tuple(MultiPoly.zero(N) for _ in target)
                 for c, g in zip(homog, gens):
                     acc = tuple(a + c * p for a, p in zip(acc, g))
@@ -824,7 +839,7 @@ def reference_polynomial_lift(A, pi):
     deg = max((p.degree() for p in pi), default=-1)
     Pi = [MultiPoly.zero(N) for _ in range(A.d)]
     for s in range(0, max(deg, -1) + 1):
-        comp = [p.homogeneous_component(s) for p in pi]
+        comp = [homogeneous_component(p, s) for p in pi]
         if all(p.is_zero for p in comp):
             continue
         T = reference_compose(reference_grad_power(s, A.l, N), A) if s > 0 else A
@@ -999,7 +1014,7 @@ def reference_construct_Cbeta(ann, W_basis, l):
         beta: ScalarMatrix([[rows_of_C[i][b * m + t] for t in range(m)] for i in range(l)])
         for b, beta in enumerate(betas)
     }
-    acc = ScalarMatrix.zeros(l, l)
+    acc = scalar_zeros(l, l)
     for beta, C in C_beta.items():
         acc = acc + C @ ScalarMatrix(ann.op.terms[beta])
     assert acc == P

@@ -29,7 +29,7 @@ from symcheck.analysis import (
 )
 from symcheck.numerics import bb_ratio_experiment, counterexample_blowup, korn_constant_p2
 from symcheck.cli import main
-from helpers import catalog_pair_grid, rand_op, rand_point, rand_poly
+from helpers import catalog_pair_grid, rand_op, rand_point, rand_poly, scalar_zeros
 
 
 def _pass(n, msg):
@@ -208,7 +208,7 @@ def test_criterion_08_claims():
         ann = construct_annihilator(op)
         rep = compute_W(op)
         cb = construct_Cbeta(ann, rep.W_basis, op.l)
-        acc = ScalarMatrix.zeros(op.l, op.l)
+        acc = scalar_zeros(op.l, op.l)
         for beta, C in cb.items():
             acc = acc + (C @ ScalarMatrix(ann.op.terms[beta]))
         assert acc == rep.P_Wperp, name

@@ -60,6 +60,7 @@ from helpers import (
     reference_random_points,
     reference_real_constant_rank,
     reference_sphere_like_grid,
+    scalar_zeros,
 )
 
 
@@ -584,7 +585,7 @@ class TestClaims:
         ann = construct_annihilator(op)
         rep = compute_W(op)
         cb = construct_Cbeta(ann, rep.W_basis, op.l)
-        acc = ScalarMatrix.zeros(op.l, op.l)
+        acc = scalar_zeros(op.l, op.l)
         for beta, C in cb.items():
             acc = acc + (C @ ScalarMatrix(ann.op.terms[beta]))
         assert acc == rep.P_Wperp

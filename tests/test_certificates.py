@@ -31,6 +31,7 @@ from symcheck.operators import (
 from helpers import (
     assert_same_operator,
     catalog_pair_grid,
+    homogeneous_component,
     pair_at_s_4,
     rand_field,
     rand_op,
@@ -304,7 +305,7 @@ class TestLiftMatchesReference:
                   rand_rational_op(rng, 2, 2, 3, 1)):
             pi = A.apply_to_poly(rand_field(rng, A.N, A.d, 3 + A.k))
             rows = [math.comb(A.N + s - 1, s) * A.l for s in range(4)
-                    if any(p.homogeneous_component(s) for p in pi)]
+                    if any(homogeneous_component(p, s) for p in pi)]
             cases.append((A, pi, rows))
 
         def refuse(*args, **kwargs):

@@ -16,6 +16,7 @@ from symcheck.exact import (
 from helpers import (
     add_matrices,
     count_eliminations,
+    homogeneous_component,
     matrix_power,
     rand_fraction,
     rand_poly,
@@ -52,7 +53,7 @@ class TestMultiPoly:
         assert p.homogeneous_degree() == 2
         q = p + MultiPoly(2, {(1, 0): Fraction(1)})
         assert q.homogeneous_degree() is None
-        assert q.homogeneous_component(2) == p
+        assert homogeneous_component(q, 2) == p
 
     def test_pow_matches_repeated_mul(self):
         rng = random.Random(4)

@@ -9,7 +9,6 @@ from symcheck.analysis import find_witness
 from symcheck.numerics import (
     GRID_MAX_POINTS,
     KORN2_BLOCK,
-    KORN2_LOOKAHEAD,
     PHASE_MEMO_BYTES,
     GridBudgetExceeded,
     GridField,
@@ -322,40 +321,38 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("steps", [1, 2, 3, 4, 5, 40])
     def test_golden_section(self, steps):
-        for h in (0.5, 0.5 * 0.8 ** 20, 1e-4):
-            # smooth, then oscillating so fast that every comparison is a coin toss
-            for scale in (1.0, 1e3, 1e12):
-                def f(theta):
-                    return math.sin(scale * theta + 1.0) * (1.0 + theta)
+        hs = [0.5, 0.5 * 0.8 ** 20, 1e-4]
+        # smooth, then oscillating so fast that every comparison is a coin toss
+        for scale in (1.0, 1e3, 1e12):
+            def f(theta):
+                return math.sin(scale * theta + 1.0) * (1.0 + theta)
 
-                midpoint = reference_golden_section(f, h, steps)[0]
-                # the last pair holds the largest value seen, so a spike at the
-                # midpoint is what makes its value count
-                for g in (f, lambda theta: 2.0 if theta == midpoint else f(theta)):
-                    calls, points = [], []
-                    theta, cand = numerics._golden_section(
-                        lambda thetas: calls.append(list(thetas)) or np.array([g(x) for x in thetas]),
-                        h, steps)
+            midpoints = {reference_golden_section(f, h, steps)[0] for h in hs}
+            # the last pair holds the largest value seen, so a spike at the
+            # midpoint is what makes its value count
+            for g in (f, lambda theta: 2.0 if theta in midpoints else f(theta)):
+                calls = []
+                thetas, cands = numerics._golden_sections(
+                    lambda thetas: calls.append(thetas.copy())
+                    or np.array([[g(x) for x in row] for row in thetas]),
+                    hs, steps)
+                for run, (h, theta, cand) in enumerate(zip(hs, thetas, cands)):
+                    points = []
                     reference = reference_golden_section(
                         lambda x: points.append(x) or g(x), h, steps)
                     assert (theta.hex(), cand.hex()) == tuple(v.hex() for v in reference)
                     # the one-point loop's thetas, bit for bit and in order
-                    evaluated = iter([x.hex() for call in calls for x in call])
-                    assert all(x.hex() in evaluated for x in points)
-                    # the pair, then one call per KORN2_LOOKAHEAD steps
-                    assert len(calls) == 1 + math.ceil(steps / KORN2_LOOKAHEAD)
+                    assert [x.hex() for call in calls for x in call[run]] == [
+                        x.hex() for x in points]
+                # the pairs, then one call per step; the midpoints ride with the last
+                assert len(calls) == 1 + steps
+                shapes = [(3, 2)] + [(3, 1)] * (steps - 1) + [(3, 2)]
+                assert [call.shape for call in calls] == shapes
 
-    # calA[xi] of curl(3) and divergence(2) has a kernel: the full SVD runs at
-    # the speculative points too, where a RuntimeWarning would fail the test
-    # (pyproject.toml); the reweighted pair keeps its ids 0, 1 and 2
-    @pytest.mark.parametrize("name,seed", [
-        pytest.param(name, seed, id=str(seed) if name.startswith("reweighted") else f"{name}-{seed}")
-        for name in ("reweighted sym_gradient(3) -> weighted D", "curl(3) -> curl(3)",
-                     "divergence(2) -> divergence(2)")
-        for seed in (0, 1, 2)])
-    def test_korn_constant_p2(self, monkeypatch, name, seed):
-        calA, A = self.PAIRS[name]()
-        pair = OperatorPair(calA, A, "korn")
+    def _korn_against_reference(self, monkeypatch, pair, samples, seed, refine_iters=80):
+        """korn_constant_p2 and its one-point reference agree in hex; returns
+        the stacked calls after the sampled ones and the reference's
+        refinements, each refinement's points checked among those calls."""
         calls = []
         make = numerics._symbol_quotient_norm
 
@@ -364,18 +361,104 @@ class TestBitIdentity:
             return lambda points: calls.append(points.copy()) or quotient_norm(points)
 
         monkeypatch.setattr(numerics, "_symbol_quotient_norm", recording)
-        samples = KORN2_BLOCK + 37  # a full block, then a part of one
-        value = korn_constant_p2(pair, samples=samples, seed=seed)
-        reference, points = reference_korn_constant_p2(pair, samples, seed=seed)
+        value = korn_constant_p2(pair, samples=samples, refine_iters=refine_iters, seed=seed)
+        reference, sampled, refinements = reference_korn_constant_p2(
+            pair, samples, refine_iters, seed=seed)
         assert value.hex() == reference.hex()
+        assert max(len(call) for call in calls) <= KORN2_BLOCK
         # the same sample directions, bit for bit, in the same order
-        assert np.array_equal(np.concatenate(calls[:2]), np.array(points[:samples]))
-        # the one-point loop's refinement points, bit for bit and in order,
-        # among the evaluated ones (which add the paths not taken)
-        evaluated = iter([x.tobytes() for block in calls[2:] for x in block])
-        assert all(x.tobytes() in evaluated for x in points[samples:])
-        # 80 refinements of at most 15 stacked calls each
-        assert len(calls) <= 2 + 80 * 15
+        sample_calls = math.ceil(samples / KORN2_BLOCK)
+        assert np.array_equal(np.concatenate(calls[:sample_calls]), np.array(sampled))
+        # each refinement's points, bit for bit and in order, among the
+        # evaluated ones (which add the runs that a restart dropped)
+        at = {}
+        for index, x in enumerate(x.tobytes() for call in calls[sample_calls:] for x in call):
+            at.setdefault(x, []).append(index)
+        for points, _ in refinements:
+            last = -1
+            for x in points:
+                after = [index for index in at.get(x.tobytes(), []) if index > last]
+                assert after
+                last = after[0]
+        return calls[sample_calls:], refinements
+
+    # calA[xi] of curl(3) and divergence(2) has a kernel: the full SVD runs at
+    # the dropped runs' points too, where a RuntimeWarning would fail the test
+    # (pyproject.toml); the reweighted pair keeps its ids 0, 1 and 2
+    @pytest.mark.parametrize("name,seed", [
+        pytest.param(name, seed, id=str(seed) if name.startswith("reweighted") else f"{name}-{seed}")
+        for name in ("reweighted sym_gradient(3) -> weighted D", "curl(3) -> curl(3)",
+                     "divergence(2) -> divergence(2)")
+        for seed in (0, 1, 2)])
+    def test_korn_constant_p2(self, monkeypatch, name, seed):
+        calA, A = self.PAIRS[name]()
+        samples = KORN2_BLOCK + 37  # a full block, then a part of one
+        calls, refinements = self._korn_against_reference(
+            monkeypatch, OperatorPair(calA, A, "korn"), samples, seed)
+        # after the two sample calls: a round of 41 calls (the pairs and 40
+        # steps), and at most one more round per improvement
+        improvements = sum(improved for _, improved in refinements)
+        assert len(calls) <= 41 * (1 + improvements)
+
+    # one to three samples leave a poor supremum, so rounds restart 3 or 4
+    # times
+    @pytest.mark.parametrize("name,samples,seed", [
+        ("sym_gradient(2) -> D", 1, 0), ("sym_gradient(2) -> D", 2, 1),
+        ("sym_gradient(3) -> D", 3, 2),
+        ("hessian of a 2-field (3) -> random order 2", 1, 0),
+        ("hessian of a 2-field (3) -> random order 2", 3, 1)])
+    def test_korn_constant_p2_restarts(self, monkeypatch, name, samples, seed):
+        calA, A = self.PAIRS[name]()
+        calls, refinements = self._korn_against_reference(
+            monkeypatch, OperatorPair(calA, A, "korn"), samples, seed)
+        assert len(calls) >= 41 * 4
+        assert len(calls) % 41 == 0
+
+    def test_korn_constant_p2_every_refinement_skipped(self, monkeypatch):
+        # N = 1: every tangent lies along best_xi, so the one sample call is
+        # the only call
+        g = catalog("gradient", 1)
+        calls, refinements = self._korn_against_reference(
+            monkeypatch, OperatorPair(g, g, "korn"), 300, 0)
+        assert calls == [] and refinements == []
+
+    def test_korn_constant_p2_rounds_past_the_block(self, monkeypatch):
+        refine_iters = KORN2_BLOCK // 2 + 18
+        calA, A = self.PAIRS["sym_gradient(2) -> D"]()
+        calls, refinements = self._korn_against_reference(
+            monkeypatch, OperatorPair(calA, A, "korn"), 2, 0, refine_iters)
+        # the first round is capped at KORN2_BLOCK // 2 refinements
+        assert len(calls[0]) == KORN2_BLOCK
+        assert len(refinements) == refine_iters
+
+    def test_korn_constant_p2_skipped_draws(self, monkeypatch):
+        """A zero tangent draw is skipped: it uses up its draw and keeps h."""
+        calA, A = self.PAIRS["sym_gradient(2) -> D"]()
+        samples, N = 2, calA.N
+        zeroed = {samples + i for i in (0, 3, 4, 9, 30, 31, 60)}
+        default_rng, generators = np.random.default_rng, []
+
+        class ZeroedRows:
+            def __init__(self, seed):
+                self.rng, self.rows = default_rng(seed), 0
+                generators.append(self)
+
+            def standard_normal(self, size):
+                values = self.rng.standard_normal(size)
+                rows = values.reshape(-1, N)
+                for row in range(len(rows)):
+                    if self.rows + row in zeroed:
+                        rows[row] = 0.0
+                self.rows += len(rows)
+                return values
+
+        monkeypatch.setattr(np.random, "default_rng", ZeroedRows)
+        calls, refinements = self._korn_against_reference(
+            monkeypatch, OperatorPair(calA, A, "korn"), samples, 1)
+        assert len(refinements) == 80 - len(zeroed)
+        # one draw per sample and per refinement, skipped or not, on both sides
+        assert [g.rows for g in generators] == [samples + 80] * 2
+        assert sum(improved for _, improved in refinements) >= 2
 
     @pytest.mark.parametrize("k,N,n_grid,trials,evicts", [
         (1, 2, 16, 40, False),

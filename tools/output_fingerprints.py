@@ -36,6 +36,9 @@ and once made to vanish at (1, 2, -1).
 Then ``numerics LABEL sha256`` lines hash, the same way, parameters the
 benchmark never runs: ``korn_constant_p2`` with 500 samples and seeds 0
 and 1 on the pairs of ``TestBitIdentity`` whose kernel inclusion holds,
+with 2 samples (so that refinement rounds restart) and seeds 0 and 1 on
+sym_gradient(2) -> curl(2) and the hessian/random pair, and with 500
+samples on gradient(1) -> gradient(1) (every refinement skipped),
 ``bb_ratio_experiment`` with 50 trials on four small grids, and
 ``sobolev_ratio_experiment`` on gradient(3) -> id with p = 1 and 2.
 """
@@ -205,6 +208,17 @@ for label, calA, A in KORN2_PAIRS:
     for seed in (0, 1):
         text = outcome(numerics.korn_constant_p2, OperatorPair(calA, A, "korn"), 500, 80, seed)[1]
         print("numerics", f"korn2/{label}/{seed}", hashlib.sha256(text.encode()).hexdigest(), flush=True)
+# two samples leave a poor supremum, so the refinement rounds restart; in
+# N = 1 every refinement is skipped
+KORN2_RUNS = [(f"{label}/samples=2/{seed}", OperatorPair(calA, A, "korn"), 2, seed)
+              for label, calA, A in [("sym_gradient(2) -> curl(2)", catalog("sym_gradient", 2),
+                                      catalog("curl", 2)), KORN2_PAIRS[-1]]
+              for seed in (0, 1)]
+KORN2_RUNS.append(("gradient(1) -> gradient(1)/0",
+                   OperatorPair(catalog("gradient", 1), catalog("gradient", 1), "korn"), 500, 0))
+for label, pair, samples, seed in KORN2_RUNS:
+    text = outcome(numerics.korn_constant_p2, pair, samples, 80, seed)[1]
+    print("numerics", f"korn2/{label}", hashlib.sha256(text.encode()).hexdigest(), flush=True)
 for k, N, n_grid in ((1, 2, 16), (2, 2, 16), (1, 3, 8), (2, 3, 8)):
     text = outcome(numerics.bb_ratio_experiment, k, N, 50, n_grid, 0)[1]
     print("numerics", f"bb/k={k}/N={N}/grid={n_grid}", hashlib.sha256(text.encode()).hexdigest(), flush=True)
