@@ -294,19 +294,6 @@ class MultiPoly:
                 p = p.derivative(v)
         return p
 
-    def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
-        """Exact quotient self / divisor, its terms in decreasing grlex
-        order; raises ArithmeticError if the division is inexact. It runs in
-        integers, by the primitive part of the divisor (Gauss's lemma)."""
-        self._check(divisor)
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        (num, dn), (div, dd) = integer_form(self.terms), integer_form(divisor.terms)
-        content = math.gcd(*div.values())
-        q = _divide_exact(num, {e: c // content for e, c in div.items()})
-        q = {e: c * dd for e, c in q.items()}
-        return MultiPoly(self.nvars, as_fractions(q, dn * content))
-
     def __repr__(self):
         if not self.terms:
             return "0"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -171,14 +171,37 @@ def _to_complex_vec(vec) -> np.ndarray:
     return np.array([complex(float(c), 0.0) for c in vec])
 
 
+def _wave(fam: PlaneWaveFamily, n: int, X: np.ndarray) -> np.ndarray:
+    """exp(2 pi i n xi . x) at the grid points X."""
+    xi = _to_complex_vec(fam.witness.xi)
+    return np.exp(np.tensordot(X, 2j * np.pi * n * xi, axes=([-1], [0])))
+
+
+def _u_field(fam: PlaneWaveFamily, wave: np.ndarray) -> GridField:
+    """u_n from its wave."""
+    v = _to_complex_vec(fam.witness.v)
+    return GridField(domain="torus", n=wave.shape[0], values=np.real(v * wave[..., None]))
+
+
+def _op_field(op: DiffOp, w, n: int, wave: np.ndarray) -> GridField:
+    """op applied to u_n, from w = op[xi] v and the wave of u_n; the zero
+    field when w is exactly zero, and then the wave is only a shape."""
+    if any(w):
+        wv = _to_complex_vec(w) * (2j * np.pi * n) ** op.k
+        values = np.real(wv * wave[..., None])
+    else:
+        values = np.zeros(wave.shape + (op.l,))
+    return GridField(domain="torus", n=wave.shape[0], values=values, weights=_weights_array(op))
+
+
+def _witness_image(op: DiffOp, fam: PlaneWaveFamily) -> list:
+    """op[xi] v, exactly."""
+    return op.symbol().evaluate(list(fam.witness.xi)).apply(list(fam.witness.v))
+
+
 def planewave_field(fam: PlaneWaveFamily, n: int, n_grid: int) -> GridField:
     """Sample u_n on the torus grid."""
-    xi = _to_complex_vec(fam.witness.xi)
-    v = _to_complex_vec(fam.witness.v)
-    X = grid_points(len(xi), n_grid)
-    phase = np.tensordot(X, 2j * np.pi * n * xi, axes=([-1], [0]))
-    u = np.real(v * np.exp(phase)[..., None])
-    return GridField(domain="torus", n=n_grid, values=u)
+    return _u_field(fam, _wave(fam, n, grid_points(len(fam.witness.xi), n_grid)))
 
 
 def apply_op_planewave(
@@ -189,20 +212,9 @@ def apply_op_planewave(
     If op[xi] v = 0 exactly the zero field is returned without any floating
     evaluation.
     """
-    xi_exact = list(fam.witness.xi)
-    sym = op.symbol().evaluate(xi_exact)
-    w = sym.apply(list(fam.witness.v))
-    N = op.N
-    if all(c == 0 for c in w):
-        shape = (n_grid,) * N + (op.l,)
-        return GridField(domain="torus", n=n_grid, values=np.zeros(shape),
-                         weights=_weights_array(op))
-    xi = _to_complex_vec(fam.witness.xi)
-    wv = _to_complex_vec(w) * (2j * np.pi * n) ** op.k
-    X = grid_points(N, n_grid)
-    phase = np.tensordot(X, 2j * np.pi * n * xi, axes=([-1], [0]))
-    vals = np.real(wv * np.exp(phase)[..., None])
-    return GridField(domain="torus", n=n_grid, values=vals, weights=_weights_array(op))
+    w = _witness_image(op, fam)
+    wave = _wave(fam, n, grid_points(op.N, n_grid)) if any(w) else np.empty((n_grid,) * op.N)
+    return _op_field(op, w, n, wave)
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +232,7 @@ class ExperimentReport:
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "parameters": self.parameters,
-            "trials": self.trials,
-            "summary": self.summary,
-            "status": self.status,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -426,17 +431,16 @@ def counterexample_blowup(
             "witness_real": True,
         },
     )
-    lhs_norms = []
-    fields = []
+    # one grid, and one wave per mode for both A u_n and u_n
+    X = grid_points(pair.calA.N, n_grid)
+    w = _witness_image(pair.A, fam)
+    lhs_norms, fields = [], []
     for n in modes:
-        lhs = apply_op_planewave(pair.A, fam, n, n_grid)
-        nrm = lp_norm(lhs, 2)
-        lhs_norms.append(nrm)
-        u = planewave_field(fam, n, n_grid)
-        fields.append(u.values.reshape(-1))
-        report.trials.append(
-            {"n": n, "lhs_l2": nrm, "rhs_l2": 0.0, "ratio": INFINITE_RATIO}
-        )
+        wave = _wave(fam, n, X)
+        lhs_norms.append(lp_norm(_op_field(pair.A, w, n, wave), 2))
+        fields.append(_u_field(fam, wave).values.reshape(-1))
+    report.trials = [{"n": n, "lhs_l2": nrm, "rhs_l2": 0.0, "ratio": INFINITE_RATIO}
+                     for n, nrm in zip(modes, lhs_norms)]
     # Gram rank: linear independence of the u_n on the grid
     F = np.stack(fields)
     gram = F @ F.T
@@ -454,7 +458,6 @@ def counterexample_blowup(
         "modes": list(modes),
         "rhs_status": INFINITE_RATIO,
     }
-    report.status = "OK"
     return report
 
 
@@ -470,10 +473,6 @@ class TrigField:
     N: int
     d: int
     coeffs: dict  # freq tuple -> complex ndarray (d,)
-
-    def phases(self, X: np.ndarray) -> list:
-        """The phase of every frequency on the grid X, in coefficient order."""
-        return [_phase(X, m) for m in self.coeffs]
 
     def values_from(self, phases: list, n_grid: int) -> np.ndarray:
         """u on the n_grid^N grid whose ``phases`` are given, shape
@@ -492,7 +491,7 @@ class TrigField:
         return np.ascontiguousarray(vals.transpose(*range(1, self.N + 1), 0))
 
     def sample(self, n_grid: int, domain: str = "torus") -> GridField:
-        phases = self.phases(grid_points(self.N, n_grid))
+        phases = _phase_memo(grid_points(self.N, n_grid))(self)
         return GridField(domain=domain, n=n_grid, values=self.values_from(phases, n_grid))
 
     def apply(self, op: DiffOp) -> "TrigField":
@@ -517,13 +516,28 @@ def _phase(X: np.ndarray, m) -> np.ndarray:
                   ).reshape(X.shape[:-1])
 
 
+# Bytes of phases one memo of _phase_memo keeps: all of the refined 64^2 grid
+# of a sobolev run with n_grid = 32, and of bb's 32^2 grid.
+PHASE_MEMO_BYTES = 8 << 20
+
+
+def _phase_memo(X: np.ndarray):
+    """u -> the phase of each frequency of the TrigField u on the fixed grid
+    X, in coefficient order. The memo keeps as many phases as
+    PHASE_MEMO_BYTES holds, dropping the least recently used."""
+    points = X.size // X.shape[-1]
+    phase = functools.lru_cache(maxsize=PHASE_MEMO_BYTES // (16 * points))(
+        functools.partial(_phase, X))
+    return lambda u: [phase(m) for m in u.coeffs]
+
+
 def random_trig_field(
     rng: np.random.Generator, N: int, d: int, band: int, n_modes: int
 ) -> TrigField:
     coeffs = {}
     for _ in range(n_modes):
         while True:
-            m = tuple(int(x) for x in rng.integers(-band, band + 1, size=N))
+            m = tuple(rng.integers(-band, band + 1, size=N).tolist())
             if any(m):
                 break
         c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -535,9 +549,6 @@ def random_trig_field(
 # Bourgain-Brezis ratio experiment
 # ---------------------------------------------------------------------------
 
-
-# Bytes of phases bb_ratio_experiment keeps for reuse within one call.
-PHASE_MEMO_BYTES = 2 << 20
 
 # Each bb trial field has BB_MODES random modes with entries in [-BB_BAND, BB_BAND].
 BB_BAND, BB_MODES = 4, 6
@@ -604,13 +615,16 @@ def bb_ratio_experiment(
             else:
                 dbump[t] = dbump[t] * sj
         bump *= sj
-    # the grid is fixed, so a frequency's phase is the same in every trial:
-    # keep as many as PHASE_MEMO_BYTES holds, dropping the least recently used
-    phase = functools.lru_cache(maxsize=PHASE_MEMO_BYTES // (16 * bump.size))(
-        functools.partial(_phase, X))
+    # the grid is fixed, so a frequency's phase and symbol row are the same
+    # in every trial; the rows too are kept within PHASE_MEMO_BYTES
+    phases = _phase_memo(X)
 
-    def phases(u: TrigField) -> list:
-        return [phase(m) for m in u.coeffs]
+    @functools.lru_cache(maxsize=max(1, PHASE_MEMO_BYTES // (8 * M_k)))
+    def symbol_row(m):
+        """The div^k symbol row at m and its squared norm."""
+        sigma = np.array([math.prod(float(x) ** e for x, e in zip(m, b) if e) for b in betas],
+                         dtype=float)
+        return sigma, float(sigma @ sigma)
 
     max_residual = 0.0
     ratios = []
@@ -619,8 +633,7 @@ def bb_ratio_experiment(
         # exact per-frequency projection onto ker of the div^k symbol
         proj = {}
         for m, c in v.coeffs.items():
-            sigma = np.array([_monomial_value(m, b) for b in betas], dtype=float)
-            nrm2 = float(sigma @ sigma)
+            sigma, nrm2 = symbol_row(m)
             if nrm2 > 0:
                 c = c - sigma * (sigma @ c) / nrm2
             proj[m] = c
@@ -657,16 +670,7 @@ def bb_ratio_experiment(
         "mean_ratio": float(np.mean(ratios)) if ratios else 0.0,
         "max_constraint_residual": max_residual,
     }
-    report.status = "OK"
     return report
-
-
-def _monomial_value(m, beta) -> float:
-    out = 1.0
-    for x, e in zip(m, beta):
-        if e:
-            out *= float(x) ** e
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -709,11 +713,11 @@ def sobolev_ratio_experiment(
         )
     cert = construct_L(pair, s_max, verdict=verdict)
     qspec = quotient_spec(pair, cert.s)
-    rng = np.random.default_rng(seed)
     band = max(1, n_grid // 8)
 
     def run_at(ng):
         grid = grid_points(N, ng)
+        phases_of = _phase_memo(grid)  # a memo per grid, as the phases differ
         basis_fields = _quotient_image_basis(pair.A, qspec, grid)
         X = basis_fields.reshape(basis_fields.shape[0], -1).T  # points x basis
         u_svd, sv, vt = np.linalg.svd(X, full_matrices=False)
@@ -727,7 +731,7 @@ def sobolev_ratio_experiment(
         local_rng = np.random.default_rng(seed)
         for _ in range(trials):
             u = random_trig_field(local_rng, N, pair.calA.d, band, 5)
-            phases = u.phases(grid)  # u.apply keeps the frequency order
+            phases = phases_of(u)  # u.apply keeps the frequency order
             Au = GridField(domain="cube", n=ng, values=u.apply(pair.A).values_from(phases, ng))
             cAu = GridField(domain="cube", n=ng,
                             values=u.apply(pair.calA).values_from(phases, ng))

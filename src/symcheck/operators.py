@@ -11,6 +11,8 @@ import hashlib
 import itertools
 import json
 import math
+import re
+import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -371,8 +373,11 @@ def _fraction_from_str(s: str, where: str) -> Fraction:
     num, slash, den = s.partition("/")
     try:
         num_i, den_i = int(num), int(den) if slash else 1
-    except ValueError as e:  # also past Python's integer digit limit
-        raise OperatorFormatError(f"{where}: malformed rational {_quoted(s)}") from e
+    except ValueError as e:
+        limit = sys.get_int_max_str_digits()  # int() refuses a string of more digits
+        past = f", an integer past Python's limit of {limit} digits," if (
+            limit and re.search(rf"\d{{{limit + 1}}}", s)) else ""
+        raise OperatorFormatError(f"{where}: malformed rational{past} {_quoted(s)}") from e
     if den_i == 0:
         raise OperatorFormatError(f"{where}: zero denominator in rational {_quoted(s)}")
     return Fraction(num_i, den_i)
@@ -457,7 +462,7 @@ def serialize_op(op: DiffOp) -> str:
 def parse_op(text: str) -> DiffOp:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # nested past the stack
         raise OperatorFormatError(f"invalid JSON: {e}") from e
     if not isinstance(data, dict):
         raise OperatorFormatError("operator file must contain a JSON object")

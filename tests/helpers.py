@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from symcheck import exact
+from symcheck import exact, numerics
 from symcheck.analysis import (
+    DEFAULT_S_MAX,
     CERTIFIED_NO,
     CERTIFIED_YES,
     REAL_SAMPLE_BUDGET,
@@ -22,7 +23,9 @@ from symcheck.analysis import (
     NotInImage,
     PolynomialLift,
     SMaxExceeded,
+    construct_L,
     kernel_inclusion,
+    quotient_spec,
     rank_profile,
 )
 from symcheck.exact import (
@@ -36,12 +39,12 @@ from symcheck.exact import (
 )
 from symcheck.groebner import GroebnerBasis, TermOrder, zero_dim_origin
 from symcheck.numerics import (
+    INFINITE_RATIO,
     ExperimentReport,
     GridField,
     TrigField,
     grid_points,
     lp_norm,
-    random_trig_field,
 )
 from symcheck.operators import (
     DiffOp,
@@ -472,6 +475,20 @@ def _reference_phases(u, X):
             .reshape(X.shape[:-1]) for m in u.coeffs]
 
 
+def reference_random_trig_field(rng, N, d, band, n_modes):
+    """n_modes nonzero frequencies in [-band, band]^N, each drawn as a
+    separate rng call, with standard complex normal coefficients."""
+    coeffs = {}
+    for _ in range(n_modes):
+        while True:
+            m = tuple(int(x) for x in rng.integers(-band, band + 1, size=N))
+            if any(m):
+                break
+        c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        coeffs[m] = coeffs.get(m, 0) + c
+    return TrigField(N=N, d=d, coeffs=coeffs)
+
+
 def reference_bb_ratio_experiment(k, N, trials, n_grid, seed=0, band=4, n_modes=6):
     """The bb report, every phase of every trial computed afresh."""
     betas = monomials_of_degree(N, k)
@@ -505,7 +522,7 @@ def reference_bb_ratio_experiment(k, N, trials, n_grid, seed=0, band=4, n_modes=
     max_residual = 0.0
     ratios = []
     for _ in range(trials):
-        v = random_trig_field(rng, N, M_k, band, n_modes)
+        v = reference_random_trig_field(rng, N, M_k, band, n_modes)
         proj = {}
         for m, c in v.coeffs.items():
             sigma = np.array([math.prod(float(x) ** e for x, e in zip(m, b) if e)
@@ -519,7 +536,7 @@ def reference_bb_ratio_experiment(k, N, trials, n_grid, seed=0, band=4, n_modes=
         v = TrigField(N=N, d=M_k, coeffs=proj)
         vf = GridField(domain="cube", n=n_grid,
                        values=v.values_from(_reference_phases(v, X), n_grid))
-        phi_t = random_trig_field(rng, N, M_k, 2, 3)
+        phi_t = reference_random_trig_field(rng, N, M_k, 2, 3)
         phi_phases = _reference_phases(phi_t, X)
         phi_core = phi_t.values_from(phi_phases, n_grid)
         phi = bump[..., None] * phi_core
@@ -543,6 +560,95 @@ def reference_bb_ratio_experiment(k, N, trials, n_grid, seed=0, band=4, n_modes=
         "max_constraint_residual": max_residual,
     }
     return report
+
+
+def reference_sobolev_ratio_experiment(pair, p, trials, n_grid, seed=0, s_max=DEFAULT_S_MAX):
+    """The sobolev report, every phase of every trial computed afresh. The
+    pair's kernel inclusion must hold and its quotient be well conditioned."""
+    N = pair.calA.N
+    p_star = N * p / (N - p)
+    cert = construct_L(pair, s_max, verdict=kernel_inclusion(pair))
+    qspec = quotient_spec(pair, cert.s)
+    band = max(1, n_grid // 8)
+
+    def weights(op):
+        return None if op.weights is None else np.array([float(w) for w in op.weights])
+
+    def run_at(ng):
+        X = grid_points(N, ng)
+        basis = numerics._quotient_image_basis(pair.A, qspec, X)
+        u_svd, sv, _ = np.linalg.svd(basis.reshape(basis.shape[0], -1).T, full_matrices=False)
+        rank = int(np.sum(sv > sv[0] * 1e-13)) if sv.size else 0
+        Q = u_svd[:, :rank]
+        rng = np.random.default_rng(seed)
+        out = []
+        for _ in range(trials):
+            u = reference_random_trig_field(rng, N, pair.calA.d, band, 5)
+            Au = u.apply(pair.A).values_from(_reference_phases(u, X), ng)
+            cAu = u.apply(pair.calA).values_from(_reference_phases(u, X), ng)
+            resid = Au.reshape(-1) - Q @ (Q.T @ Au.reshape(-1))
+            num = GridField("cube", ng, resid.reshape(Au.shape), weights(pair.A))
+            den = lp_norm(GridField("cube", ng, cAu, weights(pair.calA)), p)
+            out.append(lp_norm(num, p_star) / den if den > 0 else 0.0)
+        return out
+
+    ratios, ratios_fine = run_at(n_grid), run_at(2 * n_grid)
+    m0, m1 = max(ratios), max(ratios_fine)
+    stable = m0 > 0 and abs(m1 - m0) <= 0.10 * max(m0, m1)
+    return ExperimentReport(
+        name="sobolev_ratio_experiment",
+        parameters={"p": p, "p_star": p_star, "trials": trials,
+                    "n_grid": n_grid, "seed": seed, "s": cert.s},
+        trials=[{"ratio": r} for r in ratios],
+        summary={"max_ratio": m0, "max_ratio_refined": m1,
+                 "quotient_dimension": qspec.dimension},
+        status="BOUNDED" if stable else "UNSTABLE",
+        notes=["no closed-form constant is available in this regime"],
+    )
+
+
+def reference_counterexample_blowup(pair, witness, modes, n_grid, seed=0):
+    """The blow-up report, the grid and the wave exp(2 pi i n xi . x) of each
+    mode computed twice: once for A u_n and once for u_n."""
+    modes = tuple(sorted(modes))
+    A, N = pair.A, pair.calA.N
+    xi = np.array([complex(float(c), 0.0) for c in witness.xi])
+    v = np.array([complex(float(c), 0.0) for c in witness.v])
+    w = A.symbol().evaluate(list(witness.xi)).apply(list(witness.v))
+    weights = None if A.weights is None else np.array([float(c) for c in A.weights])
+    lhs_norms, fields = [], []
+    for n in modes:
+        if all(c == 0 for c in w):
+            lhs = np.zeros((n_grid,) * N + (A.l,))
+        else:
+            wv = np.array([complex(float(c), 0.0) for c in w]) * (2j * np.pi * n) ** A.k
+            phase = np.tensordot(grid_points(N, n_grid), 2j * np.pi * n * xi, axes=([-1], [0]))
+            lhs = np.real(wv * np.exp(phase)[..., None])
+        lhs_norms.append(lp_norm(GridField("torus", n_grid, lhs, weights), 2))
+        phase = np.tensordot(grid_points(N, n_grid), 2j * np.pi * n * xi, axes=([-1], [0]))
+        fields.append(np.real(v * np.exp(phase)[..., None]).reshape(-1))
+    F = np.stack(fields)
+    gram = F @ F.T
+    slope = None
+    if len(modes) >= 2:
+        slope = float(np.polyfit(np.log(np.array(modes, dtype=float)),
+                                 np.log(np.array(lhs_norms)), 1)[0])
+    return ExperimentReport(
+        name="counterexample_blowup",
+        parameters={"modes": list(modes), "n_grid": n_grid, "seed": seed,
+                    "witness_real": True},
+        trials=[{"n": n, "lhs_l2": nrm, "rhs_l2": 0.0, "ratio": INFINITE_RATIO}
+                for n, nrm in zip(modes, lhs_norms)],
+        summary={
+            "lhs_l2": lhs_norms,
+            "loglog_slope": slope,
+            "expected_slope": A.k,
+            "gram_rank": int(np.linalg.matrix_rank(
+                gram, tol=1e-8 * np.trace(gram) / len(modes))),
+            "modes": list(modes),
+            "rhs_status": INFINITE_RATIO,
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1213,6 +1319,21 @@ def reference_matmul(P, Q):
             out_row.append(acc)
         out.append(out_row)
     return PolyMatrix(out)
+
+
+def exact_div(p, divisor):
+    """Exact quotient p / divisor, its terms in decreasing grlex order;
+    raises ArithmeticError if the division is inexact. It runs in integers,
+    by the primitive part of the divisor (Gauss's lemma)."""
+    if p.nvars != divisor.nvars:
+        raise ValueError(f"variable-count mismatch: {p.nvars} vs {divisor.nvars}")
+    if divisor.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    (num, dn), (div, dd) = exact.integer_form(p.terms), exact.integer_form(divisor.terms)
+    content = math.gcd(*div.values())
+    q = exact._divide_exact(num, {e: c // content for e, c in div.items()})
+    q = {e: c * dd for e, c in q.items()}
+    return MultiPoly(p.nvars, exact.as_fractions(q, dn * content))
 
 
 def reference_exact_div(p, divisor):

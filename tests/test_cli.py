@@ -165,6 +165,26 @@ class TestMalformedInput:
         code, err = self.run(tmp_path, capsys, data)
         assert code == 4 and "weights" in err
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000 + "]" * 100_000,
+        '{"name": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    ])
+    def test_nesting_past_the_stack(self, tmp_path, capsys, text):
+        # json.loads raises RecursionError, not JSONDecodeError
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code = main(["analyze", "--op", str(path)])
+        err = capsys.readouterr().err
+        assert code == 4 and "input error: invalid JSON" in err and "Traceback" not in err
+
+    def test_entry_past_the_digit_limit(self, tmp_path, capsys):
+        data = self.gradient_dict()
+        data["terms"][1]["matrix"][1][0] = "7" * 5000
+        code, err = self.run(tmp_path, capsys, data)
+        limit = sys.get_int_max_str_digits()
+        assert code == 4 and (f"terms[1].matrix[1][0]: malformed rational, an integer past "
+                              f"Python's limit of {limit} digits, '7777") in err
+
 
 class TestBudget:
     def test_analyze_in_forty_variables_returns(self, tmp_path):

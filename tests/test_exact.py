@@ -16,6 +16,7 @@ from symcheck.exact import (
 from helpers import (
     add_matrices,
     count_eliminations,
+    exact_div,
     homogeneous_component,
     matrix_power,
     rand_fraction,
@@ -68,7 +69,7 @@ class TestMultiPoly:
             q = rand_poly(rng, 2, n_terms=3)
             if q.is_zero:
                 continue
-            assert (p * q).exact_div(q) == p
+            assert exact_div(p * q, q) == p
 
 
 class TestScalarMatrix:

@@ -34,8 +34,10 @@ from symcheck.operators import DiffOp, OperatorPair, catalog, grad_power
 from helpers import (
     rand_op,
     reference_bb_ratio_experiment,
+    reference_counterexample_blowup,
     reference_golden_section,
     reference_korn_constant_p2,
+    reference_sobolev_ratio_experiment,
     reference_symbol_at_float,
     reference_symbol_quotient_norm,
     reference_trig_apply,
@@ -465,7 +467,8 @@ class TestBitIdentity:
         (2, 2, 16, 40, False),
         (1, 3, 8, 20, False),
         (2, 3, 8, 20, False),
-        # 16^3 complex phases take 64 KiB each: the memo holds 32 of them
+        # 16^3 complex phases take 64 KiB each: the memo holds 128 of them,
+        # fewer than 30 trials draw
         (1, 3, 16, 30, True),
     ])
     def test_bb_report(self, monkeypatch, k, N, n_grid, trials, evicts):
@@ -478,6 +481,64 @@ class TestBitIdentity:
         assert (16 * n_grid ** N * len(set(computed)) > PHASE_MEMO_BYTES) == evicts
         # each frequency's phase is computed once unless the memo dropped it
         assert (len(computed) > len(set(computed))) == evicts
+
+    # (N, p, n_grid, trials, evicts): 32 is the library default, whose
+    # refined 64^2 grid the memo holds whole; the refined 32^3 grid of
+    # gradient(3) at 16 holds 16 phases, fewer than 20 trials draw
+    @pytest.mark.parametrize("N,p,n_grid,trials,evicts", [
+        (2, 1.0, 8, 20, False),
+        (2, 1.0, 16, 20, False),
+        (2, 1.0, 32, 100, False),
+        (3, 2.0, 8, 20, False),
+        (3, 1.5, 16, 20, True),
+    ])
+    def test_sobolev_report(self, monkeypatch, N, p, n_grid, trials, evicts):
+        computed = []  # (grid size, frequency)
+        phase = numerics._phase
+        monkeypatch.setattr(numerics, "_phase",
+                            lambda X, m: computed.append((X.shape[0], m)) or phase(X, m))
+        pair = OperatorPair(catalog("gradient", N), grad_power(0, 1, N), "sobolev")
+        report = sobolev_ratio_experiment(pair, p, trials=trials, n_grid=n_grid, seed=N)
+        reference = reference_sobolev_ratio_experiment(pair, p, trials, n_grid, seed=N)
+        assert _hexed(report.to_dict()) == _hexed(reference.to_dict())
+        assert {n for n, _ in computed} == {n_grid, 2 * n_grid}
+        for n in (n_grid, 2 * n_grid):
+            on_grid = [m for size, m in computed if size == n]
+            drops = 16 * n ** N * len(set(on_grid)) > PHASE_MEMO_BYTES
+            assert drops == (evicts and n == 2 * n_grid)
+            # each frequency's phase is computed once per grid unless the
+            # memo dropped it
+            assert (len(on_grid) > len(set(on_grid))) == drops
+        if n_grid == 32:
+            assert len(computed) <= 160
+
+    BLOWUPS = {
+        "divergence(2) -> D": lambda: (catalog("divergence", 2), full_gradient(2)),
+        # A of order 2, with weights
+        "div^2(2) -> weighted hessian": lambda: (
+            catalog("div_k", 2, 2), _reweighted(grad_power(2, 3, 2), tuple(range(1, 13)))),
+        "curl(3) -> D": lambda: (catalog("curl", 3), full_gradient(3)),
+    }
+
+    @pytest.mark.parametrize("name,modes,n_grid", [
+        ("divergence(2) -> D", (1, 2, 4, 8), 256),
+        ("divergence(2) -> D", (4, 1, 2), 32),
+        ("div^2(2) -> weighted hessian", (1, 2, 4, 8), 256),
+        ("div^2(2) -> weighted hessian", (3,), 24),
+        ("curl(3) -> D", (1, 2, 4), 32),
+    ])
+    def test_blowup_report(self, monkeypatch, name, modes, n_grid):
+        calA, A = self.BLOWUPS[name]()
+        pair = OperatorPair(calA, A, "korn")
+        witness = find_witness(pair)
+        waves = []
+        wave = numerics._wave
+        monkeypatch.setattr(numerics, "_wave", lambda fam, n, X: waves.append(n) or wave(fam, n, X))
+        report = counterexample_blowup(pair, witness, modes=modes, n_grid=n_grid)
+        reference = reference_counterexample_blowup(pair, witness, modes, n_grid)
+        assert _hexed(report.to_dict()) == _hexed(reference.to_dict())
+        # one wave, and so one exp, per mode
+        assert waves == sorted(modes)
 
     def test_float_symbol(self):
         rng = random.Random(0)

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -372,6 +373,26 @@ class TestSerialization:
         # a prefix of the entry and its length, not all 5000 digits
         assert len(str(err.value)) < 200
         assert str(err.value).endswith(f"'{'7' * QUOTED_ENTRY_CHARS}'... (5000 characters)")
+
+    def test_digit_limit_is_named(self):
+        limit = sys.get_int_max_str_digits()
+        for entry in ("7" * (limit + 1), "-1/" + "3" * (limit + 1), "7" * (limit + 1) + "."):
+            data = op_to_dict(catalog("gradient", 2))
+            data["terms"][0]["matrix"][1][0] = entry
+            with pytest.raises(OperatorFormatError) as err:
+                op_from_dict(data)
+            assert str(err.value).startswith(
+                f"terms[0].matrix[1][0]: malformed rational, an integer past Python's "
+                f"limit of {limit} digits, {entry[:QUOTED_ENTRY_CHARS]!r}...")
+        # an entry of `limit` digits parses, and one with no run that long
+        # does not name the limit
+        data["terms"][0]["matrix"][1][0] = "7" * limit
+        alpha = tuple(data["terms"][0]["alpha"])
+        assert op_from_dict(data).terms[alpha][1][0] == int("7" * limit)
+        data["terms"][0]["matrix"][1][0] = "7" * (limit - 1) + "/x"
+        with pytest.raises(OperatorFormatError) as err:
+            op_from_dict(data)
+        assert "limit" not in str(err.value)
 
     def test_long_entries_are_clipped(self):
         for entry, message in [

@@ -39,8 +39,10 @@ and 1 on the pairs of ``TestBitIdentity`` whose kernel inclusion holds,
 with 2 samples (so that refinement rounds restart) and seeds 0 and 1 on
 sym_gradient(2) -> curl(2) and the hessian/random pair, and with 500
 samples on gradient(1) -> gradient(1) (every refinement skipped),
-``bb_ratio_experiment`` with 50 trials on four small grids, and
-``sobolev_ratio_experiment`` on gradient(3) -> id with p = 1 and 2.
+``bb_ratio_experiment`` with 50 trials on four small grids,
+``sobolev_ratio_experiment`` on gradient(3) -> id with p = 1 and 2 and on
+gradient(2) -> id with grid 8, and ``counterexample_blowup`` on curl(3) -> D
+and divergence(3) -> D with modes 1, 2, 4 on a grid of 32.
 """
 
 import argparse
@@ -226,6 +228,16 @@ sobolev_pair = OperatorPair(catalog("gradient", 3), grad_power(0, 1, 3), "sobole
 for p in (1, 2):
     text = outcome(numerics.sobolev_ratio_experiment, sobolev_pair, p, 20, 16, 0)[1]
     print("numerics", f"sobolev/gradient(3) -> id/p={p}", hashlib.sha256(text.encode()).hexdigest(),
+          flush=True)
+sobolev_pair = OperatorPair(catalog("gradient", 2), grad_power(0, 1, 2), "sobolev")
+text = outcome(numerics.sobolev_ratio_experiment, sobolev_pair, 1, 20, 8, 0)[1]
+print("numerics", "sobolev/gradient(2) -> id/grid=8", hashlib.sha256(text.encode()).hexdigest(),
+      flush=True)
+for name in ("curl", "divergence"):
+    pair = OperatorPair(catalog(name, 3), grad_power(1, 3, 3), "korn")
+    witness = analysis.find_witness(pair)
+    text = outcome(numerics.counterexample_blowup, pair, witness, (1, 2, 4), 32)[1]
+    print("numerics", f"blowup/{name}(3) -> D/grid=32", hashlib.sha256(text.encode()).hexdigest(),
           flush=True)
 
 for name in ("certify", "refute", "numerics"):
