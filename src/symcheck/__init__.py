@@ -11,7 +11,7 @@ experiments.
 
 __version__ = "1.0.0"
 
-from .exact import MultiPoly, PolyMatrix, ScalarMatrix
+from .exact import MinorsBudgetExceeded, MultiPoly, PolyMatrix, ScalarMatrix
 from .groebner import (
     GroebnerBasis,
     MacaulayBudgetExceeded,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -24,7 +24,6 @@ from .exact import (
     ScalarMatrix,
     integer_form,
     monomials_of_degree,
-    monomials_up_to_degree,
     projector_onto_complement,
     subspace_intersect,
 )
@@ -149,7 +148,6 @@ class QuotientSpec:
     degree_bound: int
     d: int
     N: int
-    basis: tuple = field(repr=False, default=())
 
     @property
     def dimension(self) -> int:
@@ -170,26 +168,15 @@ class WAnnihilationResult:
 def _shell(N: int, s: int):
     """The integer points of max-norm s in N coordinates, lazily and in
     ``itertools.product`` order: a first coordinate of -s or s takes any
-    tail, any other first coordinate a tail of max-norm s."""
+    tail, any other first coordinate a tail of max-norm s. So in high N the
+    first points are dense ones such as (-1, ..., -1), not the sparse axes;
+    ordering a shell by its number of nonzero coordinates would move the
+    witnesses found today (ROADMAP item E)."""
     side = range(-s, s + 1)
     for c in side if N else ():
         tails = itertools.product(side, repeat=N - 1) if abs(c) == s else _shell(N - 1, s)
         for tail in tails:
             yield (c, *tail)
-
-
-def _sphere_like_grid(N: int, radius: int):
-    """Deterministic nonzero integer points with coordinates in [-r, r],
-    generated lazily, shell by shell in max-norm.
-
-    Within a shell the points come in ``itertools.product`` order, first
-    coordinate slowest, so in high N the first points are dense ones such as
-    (-1, ..., -1), not the sparse axes. Ordering a shell by its number of
-    nonzero coordinates would move the witnesses found today (ROADMAP item
-    E), so the order stays as it is.
-    """
-    for s in range(1, radius + 1):
-        yield from _shell(N, s)
 
 
 def _sample_points(rng: random.Random, N: int, grid_radius: int, radius: int):
@@ -228,11 +215,8 @@ def generic_rank(sym: PolyMatrix) -> int:
     )
     r = sym.evaluate(point).rank()
     top = min(sym.rows, sym.cols)
-    while r < top:
-        if any(not m.is_zero for m in sym.minors(r + 1)):
-            r += 1
-        else:
-            break
+    while r < top and any(not m.is_zero for m in sym.minors(r + 1)):
+        r += 1
     return r
 
 
@@ -344,7 +328,7 @@ def is_elliptic(
         if op.l < op.d:
             point = tuple(Fraction(1 if i == 0 else 0) for i in range(op.N))
         else:
-            point = tuple(Fraction(c) for c in next(_sphere_like_grid(op.N, 1)))
+            point = (Fraction(-1),) * op.N
         return EllipticVerdict("R", False, CERTIFIED_NO, witness=point)
     if field == "C":
         elliptic_C = profile.constant_rank_C
@@ -381,10 +365,9 @@ def kernel_inclusion(
     if not profile.constant_rank_C:
         raise HypothesesNotMet(profile)
     rho = profile.generic_rank
-    stacked = _stacked_symbol(pair)
-    if rho + 1 > min(stacked.rows, stacked.cols):
+    if rho == pair.calA.d:
         return InclusionVerdict(holds=True, rank=rho, minors_checked=0)
-    minors = stacked.minors(rho + 1)
+    minors = _stacked_symbol(pair).minors(rho + 1)
     for m in minors:
         if not m.is_zero:
             return InclusionVerdict(
@@ -401,8 +384,8 @@ def find_witness(
 ) -> Witness:
     """Exact real (xi, v) with calA[xi] v = 0 and A[xi] v != 0.
 
-    Walks the integer grid `_sphere_like_grid(N, ceil(D/2))`, D the degree
-    of the failing minor mu, and returns the first point where mu does not
+    Walks the integer shells `_shell(N, s)`, s = 1..ceil(D/2), D the degree
+    of the failing minor mu, and takes the first point where mu does not
     vanish; `budget` points at most (at least one), then
     SampleBudgetExceeded.
 
@@ -423,18 +406,17 @@ def find_witness(
         raise ValueError("find_witness requires a failing inclusion verdict")
     mu = verdict.failing_minor
     radius = max(1, -(-mu.degree() // 2))
-    grid = _sphere_like_grid(pair.calA.N, radius)
-    for p in itertools.islice(grid, max(budget, 1)):
-        point = tuple(Fraction(c) for c in p)
-        if mu.evaluate(point) == 0:
-            continue
-        calA_xi = pair.calA.symbol().evaluate(point)
-        A_xi = pair.A.symbol().evaluate(point)
-        for v in calA_xi.kernel_basis():
-            res = A_xi.apply(v)
-            if any(c != 0 for c in res):
-                return Witness(xi=point, v=tuple(v), residual=tuple(res))
-    raise SampleBudgetExceeded(mu)
+    grid = itertools.chain.from_iterable(_shell(pair.calA.N, s) for s in range(1, radius + 1))
+    points = (tuple(map(Fraction, p)) for p in itertools.islice(grid, max(budget, 1)))
+    point = next((p for p in points if mu.evaluate(p) != 0), None)
+    if point is None:
+        raise SampleBudgetExceeded(mu)
+    A_xi = pair.A.symbol().evaluate(point)
+    for v in pair.calA.symbol().evaluate(point).kernel_basis():
+        res = A_xi.apply(v)
+        if any(c != 0 for c in res):
+            return Witness(xi=point, v=tuple(v), residual=tuple(res))
+    raise AssertionError("no kernel vector of calA[xi] leaks through A[xi] where mu(xi) != 0")
 
 
 # ---------------------------------------------------------------------------
@@ -731,12 +713,4 @@ def polynomial_lift(A: DiffOp, pi: Sequence[MultiPoly]) -> PolynomialLift:
 
 def quotient_spec(pair: OperatorPair, s: int) -> QuotientSpec:
     """Finite-dimensional polynomial quotient with degree bound s + k + 1."""
-    k = pair.calA.k
-    N, d = pair.calA.N, pair.calA.d
-    bound = s + k + 1
-    basis = tuple(
-        (gamma, j)
-        for gamma in monomials_up_to_degree(N, bound)
-        for j in range(d)
-    )
-    return QuotientSpec(degree_bound=bound, d=d, N=N, basis=basis)
+    return QuotientSpec(degree_bound=s + pair.calA.k + 1, d=pair.calA.d, N=pair.calA.N)

@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
+from .exact import MinorsBudgetExceeded
 from .groebner import GroebnerBudgetExceeded, MacaulayBudgetExceeded
 from .operators import (
     CATALOG_NAMES,
@@ -388,7 +389,8 @@ def main(argv=None) -> int:
         config, ops, results, status, code, summary = args.func(args)
     except (OperatorFormatError, ParameterError) as exc:
         return _input_error(exc)
-    except (MacaulayBudgetExceeded, GroebnerBudgetExceeded, CatalogBudgetExceeded) as exc:
+    except (MacaulayBudgetExceeded, GroebnerBudgetExceeded, CatalogBudgetExceeded,
+            MinorsBudgetExceeded) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     try:

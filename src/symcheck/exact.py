@@ -604,6 +604,15 @@ def projector_onto_complement(B: Sequence[Sequence], dim: int) -> ScalarMatrix:
 # ---------------------------------------------------------------------------
 
 
+# Most minors one PolyMatrix.minors call computes; a call that would compute
+# more raises MinorsBudgetExceeded (the command line exits 3) before any.
+MINORS_MAX = 5000
+
+
+class MinorsBudgetExceeded(Exception):
+    """PolyMatrix.minors would compute more than MINORS_MAX determinants."""
+
+
 class PolyMatrix:
     """Matrix of MultiPoly entries."""
 
@@ -702,6 +711,9 @@ class PolyMatrix:
             raise ValueError(
                 f"minor size {size} out of range for {self.rows}x{self.cols}"
             )
+        if (count := math.comb(self.rows, size) * math.comb(self.cols, size)) > MINORS_MAX:
+            raise MinorsBudgetExceeded(f"{count} minors of size {size} of a {self.rows}x"
+                                       f"{self.cols} symbol exceed the budget of {MINORS_MAX}")
         rows, dens = _integer_rows([[p.terms for p in row] for row in self.entries])
         out = []
         for rsel in itertools.combinations(range(self.rows), size):

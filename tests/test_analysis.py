@@ -14,13 +14,13 @@ from symcheck.analysis import (
     _real_constant_rank,
     _sample_points,
     _shell,
-    _sphere_like_grid,
     CERTIFIED_NO,
     CERTIFIED_YES,
     REAL_SAMPLE_BUDGET,
     SAMPLE_BLOCK,
     UNCERTIFIED_YES,
     HypothesesNotMet,
+    InclusionVerdict,
     NotInImage,
     SampleBudgetExceeded,
     compute_W,
@@ -68,6 +68,12 @@ def full_gradient(N):
     return grad_power(1, N, N)
 
 
+def shells(N, radius):
+    """The shells of max-norm 1 to radius, in order: the grid find_witness
+    walks."""
+    return itertools.chain.from_iterable(_shell(N, s) for s in range(1, radius + 1))
+
+
 class TestSphereLikeGrid:
     def test_order_matches_the_shells(self):
         expected = [
@@ -76,22 +82,22 @@ class TestSphereLikeGrid:
             for p in itertools.product(range(-shell, shell + 1), repeat=2)
             if max(map(abs, p)) == shell
         ]
-        assert list(_sphere_like_grid(2, 2)) == expected
+        assert list(shells(2, 2)) == expected
 
     def test_shells_match_the_reference(self):
         # each shell walked directly: the points of the full product walk,
         # in its order
         for N in range(1, 6):
             for radius in range(1, 4):
-                assert list(_sphere_like_grid(N, radius)) == list(
+                assert list(shells(N, radius)) == list(
                     reference_sphere_like_grid(N, radius)), (N, radius)
         for N, s in ((1, 4), (2, 5), (3, 4)):
             assert list(_shell(N, s)) == [p for p in reference_sphere_like_grid(N, s)
                                           if max(map(abs, p)) == s]
 
     def test_first_points_come_without_building_the_grid(self):
-        # 7^40 points in all: only a lazy grid can hand out its first few
-        first = list(itertools.islice(_sphere_like_grid(40, 3), 4))
+        # 3^40 - 1 points in all: only a lazy shell can hand out its first few
+        first = list(itertools.islice(_shell(40, 1), 4))
         assert len(first) == 4
         assert all(max(map(abs, p)) == 1 and len(p) == 40 for p in first)
 
@@ -398,7 +404,8 @@ class TestKernelInclusion:
         pair = OperatorPair(calA, A, "korn")
         verdict = kernel_inclusion(pair)
         assert not verdict.holds and verdict.failing_minor.degree() == 16
-        assert all(verdict.failing_minor.evaluate(p) == 0 for p in _sphere_like_grid(2, 3))
+        assert all(verdict.failing_minor.evaluate(p) == 0
+                   for p in reference_sphere_like_grid(2, 3))
         w = find_witness(pair, verdict=verdict)
         assert all(type(c) is Fraction for c in w.xi + w.v + w.residual)
         assert max(abs(c) for c in w.xi) == 4
@@ -416,10 +423,12 @@ class TestKernelInclusion:
             find_witness(pair, budget=49)
         assert find_witness(pair, budget=50).xi == (-4, -3)
 
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seed", range(16))
     def test_first_grid_witness_on_random_pairs(self, seed):
         # every failing pair gets the first point of the shell-ordered grid
-        # at which the failing minor does not vanish
+        # at which the failing minor does not vanish, and there the first
+        # kernel vector of calA[xi] that A[xi] does not annihilate: the
+        # internal-consistency AssertionError never fires
         rng = random.Random(seed)
         while True:
             k = rng.randint(1, 2)
@@ -432,9 +441,22 @@ class TestKernelInclusion:
                 continue
             if not verdict.holds:
                 break
-        first = next(tuple(map(Fraction, p)) for p in _sphere_like_grid(2, 8)
+        first = next(tuple(map(Fraction, p)) for p in reference_sphere_like_grid(2, 8)
                      if verdict.failing_minor.evaluate(p) != 0)
-        assert find_witness(pair, verdict=verdict).xi == first
+        w = find_witness(pair, verdict=verdict)
+        assert w.xi == first
+        A_xi = A.symbol().evaluate(first)
+        leaking = [v for v in calA.symbol().evaluate(first).kernel_basis() if any(A_xi.apply(v))]
+        assert leaking and w.v == tuple(leaking[0])
+
+    def test_no_leaking_kernel_vector_is_an_internal_error(self):
+        # a verdict that inclusion fails where it holds: x_1 is nonzero at
+        # (-1, -1), but the gradient's symbol has no kernel there
+        pair = OperatorPair(catalog("gradient", 2), catalog("gradient", 2), "korn")
+        verdict = InclusionVerdict(holds=False, rank=1, minors_checked=1,
+                                   failing_minor=MultiPoly.variable(2, 0))
+        with pytest.raises(AssertionError, match="no kernel vector"):
+            find_witness(pair, verdict=verdict)
 
 
 class TestFactorization:
@@ -536,7 +558,7 @@ class TestCancellation:
         p = x1 * x2
         for a, b in ((1, 1), (1, 2), (2, 1)):
             p = p * (x1 * a - x2 * b) * (x1 * a + x2 * b)
-        assert all(p.evaluate(xi) == 0 for xi in _sphere_like_grid(2, 2))
+        assert all(p.evaluate(xi) == 0 for xi in reference_sphere_like_grid(2, 2))
         op = DiffOp("p (1, 1)", 2, 1, 2, 8, {e: [[c], [c]] for e, c in p.terms.items()})
         rep = compute_W(op)
         assert not rep.cancelling and len(rep.W_basis) == 1

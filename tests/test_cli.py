@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,10 +10,10 @@ from pathlib import Path
 import pytest
 
 import symcheck
-from symcheck import analysis, cli, groebner, numerics, operators
+from symcheck import analysis, cli, exact, groebner, numerics, operators
 from symcheck.cli import main
 from symcheck.operators import DiffOp, catalog, grad_power, op_to_dict, save_op
-from helpers import grid_hiding_pair, tf_sym_gradient
+from helpers import grid_hiding_pair, rand_op, tf_sym_gradient
 
 
 @pytest.fixture
@@ -213,6 +214,20 @@ class TestBudget:
         save_op(grad_power(1, 3, 3), A)
         assert main(["compare", "-a", str(calA), "-A", str(A)]) == 3
         assert "budget exceeded: Groebner basis needs more than 20 S-pairs" in capsys.readouterr().err
+
+    def test_minors_past_the_cap_exit_3_before_any(self, tmp_path, capsys, monkeypatch):
+        # a 30x15 symbol of generic rank 15 in N = 2: its rank profile would
+        # ask for C(30, 15) = 155,117,520 minors of size 15
+        def refuse(*args):
+            raise AssertionError("a minor was computed past the budget")
+        monkeypatch.setattr(exact, "_bareiss_det", refuse)
+        path = tmp_path / "wide.json"
+        save_op(rand_op(random.Random(1), N=2, d=15, l=30, k=1), path)
+        start = time.perf_counter()
+        assert main(["analyze", "--op", str(path)]) == 3
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("budget exceeded: 155117520 minors of size 15 of a 30x15 symbol")
 
 
 class TestCompare:

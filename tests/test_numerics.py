@@ -1,12 +1,17 @@
+import itertools
 import math
 import random
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from symcheck import numerics
 from symcheck.analysis import find_witness
+from symcheck.exact import monomials_of_degree
 from symcheck.numerics import (
+    BB_BAND,
     GRID_MAX_POINTS,
     KORN2_BLOCK,
     PHASE_MEMO_BYTES,
@@ -188,6 +193,18 @@ class TestBBExperiment:
         with pytest.raises(ValueError):
             bb_ratio_experiment(1, 1, trials=1)
 
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_no_frequency_of_the_band_has_a_zero_symbol_row(self, N, k):
+        # m != 0 has some m_t != 0, and the row's entry m_t^k at the
+        # multi-index k e_t has size at least 1, so bb divides by nrm2 >= 1
+        betas = monomials_of_degree(N, k)
+        for m in itertools.product(range(-BB_BAND, BB_BAND + 1), repeat=N):
+            if any(m):
+                sigma = np.array([math.prod(float(x) ** e for x, e in zip(m, b) if e)
+                                  for b in betas])
+                assert float(sigma @ sigma) >= 1, m
+
     def test_order_bound(self):
         # |sigma|^2 = (k + 1) * 4^(2k) at the corner frequency in N = 2:
         # 2^999.96 for k = 248, past 2^1000 from k = 249 on
@@ -244,6 +261,17 @@ class TestSobolevExperiment:
         pair = OperatorPair(catalog("gradient", 2), grad_power(0, 1, 2), "sobolev")
         with pytest.raises(ValueError):
             sobolev_ratio_experiment(pair, 2.0)
+
+    def test_an_underflowing_operator_is_unstable_without_a_warning(self):
+        # 10^-400 is 0.0 in doubles: the quotient's one basis field is zero on
+        # the grid, its rank 0, A u zero and every ratio 0.0
+        tiny = DiffOp("tiny id", 2, 1, 1, 0, {(0, 0): [[Fraction(1, 10 ** 400)]]})
+        pair = OperatorPair(catalog("gradient", 2), tiny, "sobolev")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = sobolev_ratio_experiment(pair, 1.0, trials=5, n_grid=8)
+        assert rep.status == "UNSTABLE" and rep.summary["max_ratio"] == 0.0
+        assert rep.summary["quotient_dimension"] == 10
 
 
 class TestGridField:

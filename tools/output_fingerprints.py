@@ -7,7 +7,10 @@ checkout's ``perfbench/``, runs every operation of every workload once and
 prints ``workload seed label sha256`` lines, the hash taken over the exit
 code, stdout, stderr, report and library value. Inputs are written to one
 fixed directory, so the paths inside the reports are the same for any two
-checkouts; two runs whose outputs are equal print equal lines.
+checkouts; two runs whose outputs are equal print equal lines. A library
+value is hashed as ``perfbench/workloads.canon`` writes it, except that the
+terms of a polynomial or an operator keep their insertion order, so a
+kernel that reorders the terms of a result shows as a diff.
 
 First it prints one ``catalog NAME N k sha256`` line for each catalog entry
 of a fixed grid (``k`` is ``-`` when not given), the hash taken over the
@@ -46,6 +49,7 @@ and divergence(3) -> D with modes 1, 2, 4 on a grid of 32.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import os
 import random
@@ -93,14 +97,37 @@ for name, N, k in CATALOG_GRID:
     print("catalog", name, N, "-" if k is None else k, digest, flush=True)
 
 
+def canon(x) -> str:
+    """Deterministic text of a library result: dicts sorted by the repr of
+    their keys, term maps (``MultiPoly``, ``DiffOp``) in insertion order."""
+    if dataclasses.is_dataclass(x):
+        return type(x).__name__ + canon({f.name: getattr(x, f.name)
+                                         for f in dataclasses.fields(x)})
+    if isinstance(x, dict):
+        return "{" + ",".join(f"{canon(k)}:{canon(v)}"
+                              for k, v in sorted(x.items(), key=lambda kv: repr(kv[0]))) + "}"
+    if isinstance(x, (list, tuple)):
+        return "[" + ",".join(canon(v) for v in x) + "]"
+    if hasattr(x, "terms"):
+        return canon(list(x.terms.items()))
+    if hasattr(x, "entries"):  # ScalarMatrix, PolyMatrix
+        return canon(x.entries)
+    return repr(x)
+
+
+def fingerprint(o) -> str:
+    """The exit code, stdout, stderr, report and library value of an outcome."""
+    return "\n".join([str(o.code), o.stdout, o.stderr, o.report, canon(o.value)])
+
+
 def outcome(fn, *args):
     """The value of fn(*args) and its canonical text, or None and the error
     text (with the data that the error carries)."""
     try:
         value = fn(*args)
     except Exception as exc:
-        return None, f"{type(exc).__name__}: {exc} {workloads.canon(getattr(exc, 'data', None))}"
-    return value, workloads.canon(value)
+        return None, f"{type(exc).__name__}: {exc} {canon(getattr(exc, 'data', None))}"
+    return value, canon(value)
 
 
 # (N, d, l, k, planted, definite): l > d and l < d, order 2, a real rank drop
@@ -166,8 +193,8 @@ for label, pair in factor_pairs:
 shutil.rmtree(WORKDIR, ignore_errors=True)
 WORKDIR.mkdir()
 save_op(workloads.random_op(random.Random(1), "random8x4", 3, 4, 8, 1), WORKDIR / "wide.json")
-text = workloads.cli_op("wide", ["analyze", "--op", str(WORKDIR / "wide.json")],
-                        WORKDIR / "wide-report.json", None).run().fingerprint()
+text = fingerprint(workloads.cli_op("wide", ["analyze", "--op", str(WORKDIR / "wide.json")],
+                                   WORKDIR / "wide-report.json", None).run())
 print("wide", "analyze/random8x4", hashlib.sha256(text.encode()).hexdigest(), flush=True)
 
 
@@ -244,6 +271,6 @@ for name in ("certify", "refute", "numerics"):
     for seed in args.seeds:
         shutil.rmtree(WORKDIR, ignore_errors=True)
         for op in workloads.build(name, seed, WORKDIR):
-            text = op.run().fingerprint().replace(str(src), "CHECKOUT/src")
+            text = fingerprint(op.run()).replace(str(src), "CHECKOUT/src")
             print(name, seed, op.label, hashlib.sha256(text.encode()).hexdigest(), flush=True)
 shutil.rmtree(WORKDIR, ignore_errors=True)
