@@ -52,6 +52,7 @@ from .numerics import (
     counterexample_blowup,
     korn_constant_p2,
     sobolev_ratio_experiment,
+    underflow_notes,
 )
 
 SCHEMA = "symcheck-report/1"
@@ -228,7 +229,7 @@ def _korn2(args, pair, config):
     value = korn_constant_p2(pair, samples=args.trials, seed=args.seed)
     results = {
         "constant_p2": value,
-        "notes": ["certified-by-Parseval reduction at p = 2 only"],
+        "notes": ["certified-by-Parseval reduction at p = 2 only"] + underflow_notes(pair),
     }
     return results, "OK", [f"korn2 constant estimate: {value:.6f}"]
 

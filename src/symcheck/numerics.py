@@ -92,7 +92,7 @@ class GridField:
     def __post_init__(self):
         if self.domain not in ("torus", "cube"):
             raise ValueError("domain must be 'torus' or 'cube'")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("GridField values must be finite")
 
     @property
@@ -112,17 +112,46 @@ def lp_norm(f: GridField, p: float) -> float:
     if p < 1:
         raise ValueError("p must be >= 1")
     v = f.values
-    if f.weights is not None:
-        mag = np.sqrt(np.sum(f.weights * v * v, axis=-1))
-    else:
-        mag = np.sqrt(np.sum(v * v, axis=-1))
-    return float(np.mean(mag ** p) ** (1.0 / p))
+    # np.add.reduce: the pairwise sums of np.sum and np.mean, without their wrappers
+    mag = np.sqrt(np.add.reduce(v * v if f.weights is None else f.weights * v * v, axis=-1))
+    return float((np.add.reduce(mag ** p, axis=None) / mag.size) ** (1.0 / p))
 
 
-def _weights_array(op: DiffOp) -> Optional[np.ndarray]:
-    if op.weights is None:
-        return None
-    return np.array([float(w) for w in op.weights])
+def _double(c, where: str, underflows: Optional[list] = None) -> float:
+    """The exact rational c as a double. Past the double range it raises
+    ParameterError naming ``where``; a nonzero c whose double is 0.0 is
+    noted in ``underflows``, when given."""
+    try:
+        x = float(c)
+    except OverflowError:
+        raise ParameterError(f"{where} is past the double range") from None
+    if x == 0.0 and c != 0 and underflows is not None:
+        underflows.append(f"{where} is nonzero but its double is 0.0")
+    return x
+
+
+@functools.lru_cache(maxsize=16)
+def _float_terms(op: DiffOp):
+    """op's coefficient matrices (in ``op.terms`` order) and weights as
+    doubles, and a note for each nonzero entry whose double is 0.0."""
+    underflows = []
+    matrices = [np.array([[_double(c, f"operator {op.name!r}: the coefficient of multi-index "
+                                      f"{alpha} at entry [{i}][{j}]", underflows)
+                           for j, c in enumerate(row)] for i, row in enumerate(m)])
+                for alpha, m in op.terms.items()]
+    weights = None if op.weights is None else np.array(
+        [_double(w, f"operator {op.name!r}: weights[{j}]", underflows)
+         for j, w in enumerate(op.weights)])
+    for shared in matrices if weights is None else matrices + [weights]:
+        shared.flags.writeable = False  # every caller gets these arrays
+    return matrices, weights, underflows
+
+
+def underflow_notes(pair: OperatorPair) -> list:
+    """Notes naming every entry of the pair's operators whose double is 0.0;
+    ParameterError names an entry past the double range. The experiments
+    call it before any sampling."""
+    return _float_terms(pair.calA)[2] + _float_terms(pair.A)[2]
 
 
 @functools.lru_cache(maxsize=16)
@@ -131,9 +160,8 @@ def float_symbol(op: DiffOp):
     at each real xi, with the coefficients converted to floats once and
     summed in ``op.terms`` order. ``np.float_power`` gives each power the bits
     of the scalar ``float ** int``; an array ``**`` does not."""
-    terms = [([(t, e) for t, e in enumerate(alpha) if e],
-              np.array([[float(c) for c in row] for row in m]))
-             for alpha, m in op.terms.items()]
+    terms = [([(t, e) for t, e in enumerate(alpha) if e], M)
+             for alpha, M in zip(op.terms, _float_terms(op)[0])]
 
     def at(points: np.ndarray) -> np.ndarray:
         out = np.zeros((len(points), op.l, op.d))
@@ -169,19 +197,19 @@ class PlaneWaveFamily:
             raise ValueError("modes must be positive integers")
 
 
-def _to_complex_vec(vec) -> np.ndarray:
-    return np.array([complex(float(c), 0.0) for c in vec])
+def _to_complex_vec(vec, name: str) -> np.ndarray:
+    return np.array([complex(_double(c, f"{name}[{i}]"), 0.0) for i, c in enumerate(vec)])
 
 
 def _wave(fam: PlaneWaveFamily, n: int, X: np.ndarray) -> np.ndarray:
     """exp(2 pi i n xi . x) at the grid points X."""
-    xi = _to_complex_vec(fam.witness.xi)
+    xi = _to_complex_vec(fam.witness.xi, "the witness xi")
     return np.exp(np.tensordot(X, 2j * np.pi * n * xi, axes=([-1], [0])))
 
 
 def _u_field(fam: PlaneWaveFamily, wave: np.ndarray) -> GridField:
     """u_n from its wave."""
-    v = _to_complex_vec(fam.witness.v)
+    v = _to_complex_vec(fam.witness.v, "the witness v")
     return GridField(domain="torus", n=wave.shape[0], values=np.real(v * wave[..., None]))
 
 
@@ -189,11 +217,11 @@ def _op_field(op: DiffOp, w, n: int, wave: np.ndarray) -> GridField:
     """op applied to u_n, from w = op[xi] v and the wave of u_n; the zero
     field when w is exactly zero, and then the wave is only a shape."""
     if any(w):
-        wv = _to_complex_vec(w) * (2j * np.pi * n) ** op.k
+        wv = _to_complex_vec(w, f"{op.name}[xi] v") * (2j * np.pi * n) ** op.k
         values = np.real(wv * wave[..., None])
     else:
         values = np.zeros(wave.shape + (op.l,))
-    return GridField(domain="torus", n=wave.shape[0], values=values, weights=_weights_array(op))
+    return GridField(domain="torus", n=wave.shape[0], values=values, weights=_float_terms(op)[1])
 
 
 def _witness_image(op: DiffOp, fam: PlaneWaveFamily) -> list:
@@ -254,7 +282,7 @@ def _symbol_quotient_norm(pair: OperatorPair):
     vectors. Every value has the bits of an evaluation at that point alone.
     """
     sym_a, sym_b = float_symbol(pair.calA), float_symbol(pair.A)
-    wa, wb = _weights_array(pair.calA), _weights_array(pair.A)
+    wa, wb = _float_terms(pair.calA)[1], _float_terms(pair.A)[1]
     root_a = None if wa is None else np.sqrt(wa)[:, None]
     root_b = None if wb is None else np.sqrt(wb)[:, None]
     rank_tol = max(pair.calA.l, pair.calA.d) * np.finfo(float).eps
@@ -341,6 +369,7 @@ def korn_constant_p2(
         raise ParameterError(f"samples must be at least 1, got samples = {samples}")
     if seed < 0:
         raise ParameterError(f"seed must be at least 0, got seed = {seed}")
+    underflow_notes(pair)  # an entry past the double range fails before any work
     verdict = kernel_inclusion(pair)
     if not verdict.holds:
         raise InclusionFails("kernel inclusion fails; the constant is infinite")
@@ -432,6 +461,7 @@ def counterexample_blowup(
             "seed": seed,
             "witness_real": True,
         },
+        notes=underflow_notes(pair),
     )
     # one grid, and one wave per mode for both A u_n and u_n
     X = grid_points(pair.calA.N, n_grid)
@@ -476,25 +506,9 @@ class TrigField:
     d: int
     coeffs: dict  # freq tuple -> complex ndarray (d,)
 
-    def values_from(self, phases: list, n_grid: int) -> np.ndarray:
-        """u on the n_grid^N grid whose ``phases`` are given, shape
-        (n_grid,)*N + (d,) in C order.
-
-        The modes are summed into a (d, n_grid, ..., n_grid) array, so that
-        numpy's inner loop runs over grid points rather than over the d
-        components; each value is the same complex product as in point-major
-        order. The result is copied back to C order, since a sum over the
-        last axis of the strided view adds 8 or more components in another
-        order."""
-        vals = np.zeros((self.d,) + (n_grid,) * self.N)
-        shape = (self.d,) + (1,) * self.N
-        for c, phase in zip(self.coeffs.values(), phases):
-            vals += (c.reshape(shape) * phase).real
-        return np.ascontiguousarray(vals.transpose(*range(1, self.N + 1), 0))
-
     def sample(self, n_grid: int, domain: str = "torus") -> GridField:
-        phases = _phase_memo(grid_points(self.N, n_grid))(self)
-        return GridField(domain=domain, n=n_grid, values=self.values_from(phases, n_grid))
+        return GridField(domain=domain, n=n_grid, values=_synthesise(
+            self.coeffs, _phase_memo(grid_points(self.N, n_grid))))
 
     def apply(self, op: DiffOp) -> "TrigField":
         """op applied to u; the frequencies keep their order."""
@@ -503,11 +517,6 @@ class TrigField:
         return TrigField(N=self.N, d=op.l, coeffs={
             m: (2j * np.pi) ** op.k * (S @ c)
             for (m, c), S in zip(self.coeffs.items(), symbols)})
-
-    def derivative(self, t: int) -> "TrigField":
-        """d/dx_t of u; the frequencies keep their order."""
-        return TrigField(N=self.N, d=self.d, coeffs={
-            m: (2j * np.pi * m[t]) * c for m, c in self.coeffs.items()})
 
 
 def _phase(X: np.ndarray, m) -> np.ndarray:
@@ -524,13 +533,28 @@ PHASE_MEMO_BYTES = 8 << 20
 
 
 def _phase_memo(X: np.ndarray):
-    """u -> the phase of each frequency of the TrigField u on the fixed grid
-    X, in coefficient order. The memo keeps as many phases as
-    PHASE_MEMO_BYTES holds, dropping the least recently used."""
+    """m -> the phase of the frequency m on the fixed grid X. The memo keeps
+    as many phases as PHASE_MEMO_BYTES holds, dropping the least recently
+    used."""
     points = X.size // X.shape[-1]
-    phase = functools.lru_cache(maxsize=PHASE_MEMO_BYTES // (16 * points))(
+    return functools.lru_cache(maxsize=PHASE_MEMO_BYTES // (16 * points))(
         functools.partial(_phase, X))
-    return lambda u: [phase(m) for m in u.coeffs]
+
+
+def _synthesise(coeffs: dict, phase) -> np.ndarray:
+    """sum_m Re[c_m phase(m)] over the frequencies m and complex (d,)
+    coefficients c_m of ``coeffs``, in their order; shape grid + (d,).
+
+    The modes are summed into a (d,) + grid array, so that numpy's inner loop
+    runs over grid points rather than over the d components; each value is
+    the same complex product as in point-major order. The result is copied
+    back to C order, since a sum over the last axis of the strided view adds
+    8 or more components in another order."""
+    vals = 0.0  # 0.0 + the first term: the bits of a sum started from np.zeros
+    for m, c in coeffs.items():
+        p = phase(m)
+        vals += (c.reshape(c.shape + (1,) * p.ndim) * p).real
+    return np.ascontiguousarray(vals.transpose(*range(1, vals.ndim), 0))
 
 
 def random_trig_field(
@@ -538,11 +562,13 @@ def random_trig_field(
 ) -> TrigField:
     coeffs = {}
     for _ in range(n_modes):
-        while True:
-            m = tuple(rng.integers(-band, band + 1, size=N).tolist())
-            if any(m):
-                break
-        c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        # scalar draws: the values and generator state of one draw of size N
+        # (Lemire's bounded draw takes PCG64's 32-bit halves in turn)
+        m = (0,) * N
+        while not any(m):
+            m = tuple([int(rng.integers(-band, band + 1)) for _ in range(N)])
+        z = rng.standard_normal(2 * d)  # the stream of two draws of d
+        c = z[:d] + 1j * z[d:]
         coeffs[m] = coeffs.get(m, 0) + c
     return TrigField(N=N, d=d, coeffs=coeffs)
 
@@ -619,40 +645,40 @@ def bb_ratio_experiment(
         bump *= sj
     # the grid is fixed, so a frequency's phase and symbol row are the same
     # in every trial; the rows too are kept within PHASE_MEMO_BYTES
-    phases = _phase_memo(X)
+    phase = _phase_memo(X)
 
     @functools.lru_cache(maxsize=max(1, PHASE_MEMO_BYTES // (8 * M_k)))
     def symbol_row(m):
-        """The div^k symbol row at m and its squared norm."""
+        """The div^k symbol row at m, its squared norm and its norm."""
         sigma = np.array([math.prod(float(x) ** e for x, e in zip(m, b) if e) for b in betas],
                          dtype=float)
-        return sigma, float(sigma @ sigma)
+        nrm2 = float(sigma @ sigma)
+        return sigma, nrm2, math.sqrt(nrm2)
 
+    points = n_grid ** N
     max_residual = 0.0
     ratios = []
     for _ in range(trials):
-        v = random_trig_field(rng, N, M_k, BB_BAND, BB_MODES)
         # exact per-frequency projection onto ker of the div^k symbol
         proj = {}
-        for m, c in v.coeffs.items():
-            sigma, nrm2 = symbol_row(m)
-            proj[m] = c = c - sigma * (sigma @ c) / nrm2
-            max_residual = max(max_residual, abs(sigma @ c) /
-                               (np.linalg.norm(c) * math.sqrt(nrm2) + 1e-300))
-        v = TrigField(N=N, d=M_k, coeffs=proj)
-        vf = GridField(domain="cube", n=n_grid, values=v.values_from(phases(v), n_grid))
+        for m, c in random_trig_field(rng, N, M_k, BB_BAND, BB_MODES).coeffs.items():
+            sigma, nrm2, nrm = symbol_row(m)
+            # ndarray.dot: the products of @ and np.linalg.norm, without wrappers
+            proj[m] = c = c - sigma * sigma.dot(c) / nrm2
+            max_residual = max(max_residual, abs(sigma.dot(c)) /
+                               (math.sqrt(c.real.dot(c.real) + c.imag.dot(c.imag)) * nrm + 1e-300))
+        vf = GridField(domain="cube", n=n_grid, values=_synthesise(proj, phase))
         # phi: bump times a random low-frequency trig combination
-        phi_t = random_trig_field(rng, N, M_k, 2, 3)
-        phi_phases = phases(phi_t)
-        phi_core = GridField(domain="cube", n=n_grid,
-                             values=phi_t.values_from(phi_phases, n_grid)).values
+        phi_t = random_trig_field(rng, N, M_k, 2, 3).coeffs
+        phi_core = _synthesise(phi_t, phase)
         phi = bump[..., None] * phi_core
         # D phi analytically: product rule on bump * trig
-        dphi = np.zeros(X.shape[:-1] + (M_k, N))
+        dphi = np.empty(X.shape[:-1] + (M_k, N))
         for t in range(N):
-            dcore = phi_t.derivative(t).values_from(phi_phases, n_grid)
+            dcore = _synthesise({m: (2j * np.pi * m[t]) * c for m, c in phi_t.items()}, phase)
             dphi[..., t] = dbump[t][..., None] * phi_core + bump[..., None] * dcore
-        integral = abs(float(np.mean(np.sum(vf.values * phi, axis=-1))))
+        integral = abs(float(np.add.reduce(np.add.reduce(vf.values * phi, axis=-1), axis=None)
+                             / points))
         v_l1 = lp_norm(vf, 1)
         dphi_flat = GridField(
             domain="cube", n=n_grid,
@@ -702,6 +728,7 @@ def sobolev_ratio_experiment(
     if seed < 0:
         raise ParameterError(f"seed must be at least 0, got seed = {seed}")
     _check_grid(N, 2 * n_grid)  # the refined grid is the larger one
+    underflows = underflow_notes(pair)
     p_star = N * p / (N - p)
     verdict = kernel_inclusion(pair)
     if not verdict.holds:
@@ -714,7 +741,7 @@ def sobolev_ratio_experiment(
 
     def run_at(ng):
         grid = grid_points(N, ng)
-        phases_of = _phase_memo(grid)  # a memo per grid, as the phases differ
+        phase = _phase_memo(grid)  # a memo per grid, as the phases differ
         basis_fields = _quotient_image_basis(pair.A, qspec, grid)
         X = basis_fields.reshape(basis_fields.shape[0], -1).T  # points x basis
         u_svd, sv, vt = np.linalg.svd(X, full_matrices=False)
@@ -728,14 +755,13 @@ def sobolev_ratio_experiment(
         local_rng = np.random.default_rng(seed)
         for _ in range(trials):
             u = random_trig_field(local_rng, N, pair.calA.d, band, 5)
-            phases = phases_of(u)  # u.apply keeps the frequency order
-            Au = u.apply(pair.A).values_from(phases, ng)
+            Au = _synthesise(u.apply(pair.A).coeffs, phase)
             resid = Au.reshape(-1) - Q @ (Q.T @ Au.reshape(-1))
             num = GridField(domain="cube", n=ng, values=resid.reshape(Au.shape),
-                            weights=_weights_array(pair.A))
+                            weights=_float_terms(pair.A)[1])
             den_field = GridField(domain="cube", n=ng,
-                                  values=u.apply(pair.calA).values_from(phases, ng),
-                                  weights=_weights_array(pair.calA))
+                                  values=_synthesise(u.apply(pair.calA).coeffs, phase),
+                                  weights=_float_terms(pair.calA)[1])
             den = lp_norm(den_field, p)
             out.append(lp_norm(num, p_star) / den if den > 0 else 0.0)
         return out
@@ -757,7 +783,7 @@ def sobolev_ratio_experiment(
             "quotient_dimension": qspec.dimension,
         },
         status="BOUNDED" if stable else "UNSTABLE",
-        notes=["no closed-form constant is available in this regime"],
+        notes=["no closed-form constant is available in this regime"] + underflows,
     )
     return report
 
@@ -776,7 +802,8 @@ def _quotient_image_basis(A: DiffOp, qspec, X: np.ndarray) -> np.ndarray:
         vals = np.zeros(X.shape[:-1] + (A.l,))
         for i, poly in enumerate(img):
             for exp, c in poly.terms.items():
-                term = float(c) * np.ones(X.shape[:-1])
+                term = _double(c, f"operator {A.name!r} applied to x^{gamma} e_{j}"
+                               ) * np.ones(X.shape[:-1])
                 for var, e in enumerate(exp):
                     if e:
                         term = term * X[..., var] ** e

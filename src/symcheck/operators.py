@@ -152,7 +152,7 @@ class OperatorPair:
         expected = calA.k if mode == "korn" else calA.k - 1
         if A.k != expected:
             raise OperatorFormatError(
-                f"mode {mode}: order of A must be {expected}, got {A.k}"
+                f"mode {mode}: order of A must be {expected}, got k = {A.k}"
             )
         object.__setattr__(self, "calA", calA)
         object.__setattr__(self, "A", A)
@@ -459,9 +459,18 @@ def serialize_op(op: DiffOp) -> str:
     return json.dumps(op_to_dict(op), sort_keys=True, separators=(",", ":"))
 
 
+def _int_or_text(literal: str):
+    """A JSON integer literal as an int; one past Python's digit limit stays
+    text, so that the field holding it is named as malformed."""
+    try:
+        return int(literal)
+    except ValueError:
+        return literal
+
+
 def parse_op(text: str) -> DiffOp:
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=_int_or_text)
     except (json.JSONDecodeError, RecursionError) as e:  # nested past the stack
         raise OperatorFormatError(f"invalid JSON: {e}") from e
     if not isinstance(data, dict):

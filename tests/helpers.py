@@ -469,10 +469,11 @@ def reference_korn_constant_p2(pair, samples, refine_iters=80, seed=0):
     return best_val, sampled, refinements
 
 
-def _reference_phases(u, X):
-    flat = X.reshape(-1, u.N)
-    return [np.exp(np.dot(flat, 2j * np.pi * np.array(m, dtype=float)[:, None]))
-            .reshape(X.shape[:-1]) for m in u.coeffs]
+def _reference_phase(X):
+    """m -> exp(2 pi i m . x) on the grid X, computed afresh at each call."""
+    flat = X.reshape(-1, X.shape[-1])
+    return lambda m: np.exp(np.dot(flat, 2j * np.pi * np.array(m, dtype=float)[:, None])
+                            ).reshape(X.shape[:-1])
 
 
 def reference_random_trig_field(rng, N, d, band, n_modes):
@@ -535,17 +536,17 @@ def reference_bb_ratio_experiment(k, N, trials, n_grid, seed=0, band=4, n_modes=
                                (np.linalg.norm(c) * math.sqrt(nrm2) + 1e-300))
         v = TrigField(N=N, d=M_k, coeffs=proj)
         vf = GridField(domain="cube", n=n_grid,
-                       values=v.values_from(_reference_phases(v, X), n_grid))
+                       values=numerics._synthesise(v.coeffs, _reference_phase(X)))
         phi_t = reference_random_trig_field(rng, N, M_k, 2, 3)
-        phi_phases = _reference_phases(phi_t, X)
-        phi_core = phi_t.values_from(phi_phases, n_grid)
+        phi_core = numerics._synthesise(phi_t.coeffs, _reference_phase(X))
         phi = bump[..., None] * phi_core
         if np.max(np.abs(phi)) == 0.0:
             ratios.append(0.0)
             continue
         dphi = np.zeros(X.shape[:-1] + (M_k, N))
         for t in range(N):
-            dcore = phi_t.derivative(t).values_from(phi_phases, n_grid)
+            dcore = numerics._synthesise({m: (2j * np.pi * m[t]) * c
+                                          for m, c in phi_t.coeffs.items()}, _reference_phase(X))
             dphi[..., t] = dbump[t][..., None] * phi_core + bump[..., None] * dcore
         integral = abs(float(np.mean(np.sum(vf.values * phi, axis=-1))))
         v_l1 = lp_norm(vf, 1)
@@ -584,8 +585,8 @@ def reference_sobolev_ratio_experiment(pair, p, trials, n_grid, seed=0, s_max=DE
         out = []
         for _ in range(trials):
             u = reference_random_trig_field(rng, N, pair.calA.d, band, 5)
-            Au = u.apply(pair.A).values_from(_reference_phases(u, X), ng)
-            cAu = u.apply(pair.calA).values_from(_reference_phases(u, X), ng)
+            Au = numerics._synthesise(u.apply(pair.A).coeffs, _reference_phase(X))
+            cAu = numerics._synthesise(u.apply(pair.calA).coeffs, _reference_phase(X))
             resid = Au.reshape(-1) - Q @ (Q.T @ Au.reshape(-1))
             num = GridField("cube", ng, resid.reshape(Au.shape), weights(pair.A))
             den = lp_norm(GridField("cube", ng, cAu, weights(pair.calA)), p)

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -8,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import symcheck
 from symcheck import analysis, cli, exact, groebner, numerics, operators
@@ -465,6 +467,87 @@ class TestExperimentSizes:
         assert rep["status"] == "FIELD_BUDGET_EXCEEDED" and size in rep["results"]["detail"]
 
 
+class TestDoubleRange:
+    """An operator entry past the double range is an input error of every
+    experiment on operators: exit 4 naming the operator, the multi-index and
+    the entry, before any sampling. A nonzero entry whose double is 0.0 is
+    named in the report's notes."""
+
+    HUGE, TINY = "1" + "0" * 400, "1/1" + "0" * 400
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("the experiment started work on an entry past the double range")
+
+    def write(self, path, op, entry=None, weights=None):
+        data = op_to_dict(op)
+        if entry is not None:
+            term, i, j, value = entry
+            data["terms"][term]["matrix"][i][j] = value
+        if weights is not None:
+            data["weights"] = weights
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @pytest.mark.parametrize("kind,where", [
+        ("korn2", "the coefficient of multi-index (1, 0) at entry [0][0]"),
+        ("sobolev", "the coefficient of multi-index (1, 0) at entry [0][0]"),
+        ("korn2", "weights[1]"),
+        ("sobolev", "weights[1]"),
+    ])
+    def test_past_the_double_range_exits_4(self, ops_dir, tmp_path, capsys, monkeypatch,
+                                           kind, where):
+        # terms[1] of gradient(2) is the multi-index (1, 0)
+        entry = (1, 0, 0, self.HUGE) if where.startswith("the") else None
+        weights = ["1", self.HUGE] if where.startswith("weights") else None
+        calA = self.write(tmp_path / "big.json", catalog("gradient", 2), entry, weights)
+        save_op(grad_power(0, 1, 2), ops_dir / "id2.json")
+        A = calA if kind == "korn2" else str(ops_dir / "id2.json")
+        for name in ("kernel_inclusion", "grid_points", "random_trig_field"):
+            monkeypatch.setattr(numerics, name, self.refuse)
+        code = main(["experiment", kind, "-a", calA, "-A", A, "--trials", "5", "--grid", "8",
+                     "--mode", "korn" if kind == "korn2" else "sobolev"])
+        err = capsys.readouterr().err
+        assert code == 4 and "Traceback" not in err
+        assert f"input error: operator 'gradient': {where} is past the double range" in err
+
+    def test_blowup_past_the_double_range_exits_4(self, ops_dir, tmp_path, capsys, monkeypatch):
+        A = self.write(tmp_path / "big.json", grad_power(1, 2, 2), (0, 1, 1, "-" + self.HUGE))
+        monkeypatch.setattr(numerics, "grid_points", self.refuse)
+        code = main(["experiment", "blowup", "-a", str(ops_dir / "div2.json"), "-A", A,
+                     "--grid", "64"])
+        err = capsys.readouterr().err
+        assert code == 4 and "Traceback" not in err
+        assert ("operator 'D^1': the coefficient of multi-index (0, 1) at entry [1][1] is "
+                "past the double range") in err
+
+    def test_an_underflowing_entry_is_noted(self, ops_dir, tmp_path):
+        tiny = DiffOp("tiny id", 2, 1, 1, 0, {(0, 0): [[Fraction(1, 10 ** 400)]]})
+        A = self.write(tmp_path / "tiny.json", tiny)
+        out = tmp_path / "r.json"
+        code = main(["experiment", "sobolev", "--mode", "sobolev", "-a",
+                     str(ops_dir / "gradient2.json"), "-A", A, "--trials", "5", "--grid", "8",
+                     "--out", str(out)])
+        rep = read(out)
+        # the status and values are those of the zero field the doubles hold
+        assert code == 2 and rep["status"] == "UNSTABLE"
+        assert rep["results"]["experiment"]["summary"]["max_ratio"] == 0.0
+        assert rep["results"]["experiment"]["notes"] == [
+            "no closed-form constant is available in this regime",
+            "operator 'tiny id': the coefficient of multi-index (0, 0) at entry [0][0] is "
+            "nonzero but its double is 0.0"]
+
+    def test_korn2_notes_an_underflowing_weight(self, ops_dir, tmp_path):
+        A = self.write(tmp_path / "w.json", grad_power(1, 2, 2), weights=["1", self.TINY, "1", "1"])
+        out = tmp_path / "r.json"
+        code = main(["experiment", "korn2", "-a", str(ops_dir / "symgrad2.json"), "-A", A,
+                     "--trials", "20", "--out", str(out)])
+        assert code == 0
+        assert read(out)["results"]["notes"] == [
+            "certified-by-Parseval reduction at p = 2 only",
+            "operator 'D^1': weights[1] is nonzero but its double is 0.0"]
+
+
 class TestReportPaths:
     """Each way a report command can end: exit code, summary line, report
     status and results. Library calls are replaced in ``symcheck.cli`` where
@@ -677,3 +760,115 @@ class TestDeterminism:
             main(["experiment", "bb", "--k", "1", "--N", "2", "--trials", "40",
                   "--grid", "32", "--seed", "11", "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under fuzzing: mutated catalog files through every
+# command that reads operators
+# ---------------------------------------------------------------------------
+
+# the words an input error may name a field by
+FIELD_WORDS = re.compile(r"\b(name|N|d|l|k|terms|alpha|matrix|weights|multi-index)\b")
+# an integer literal past Python's digit limit, written into the JSON text
+LONG_LITERAL = "1" + "0" * 5000
+REPLACEMENTS = [
+    None, True, False, 0, -1, 2, 3, 10 ** 30, -(10 ** 30), 1.5, LONG_LITERAL, "", "x",
+    "1/0", "0/0", [], {}, [1, 0], ["1"], {"alpha": [1, 0]},
+]
+# rationals that keep the file valid: past the double range, below it, zero
+ENTRIES = ["1" + "0" * 400, "-1" + "0" * 400, "1/1" + "0" * 400, "0", "-7/3", "123456789/2"]
+
+
+@st.composite
+def mutated_operator(draw):
+    """A catalog operator as a JSON-ready dict with one mutation: a matrix
+    entry or weight set to a valid but extreme rational, or one place
+    dropped, replaced, nested in a list or an object, or repeated. Returns
+    the base name and the dict."""
+    name = draw(st.sampled_from(["gradient", "sym_gradient", "divergence"]))
+    data = op_to_dict(catalog(name, 2))
+    entries = [(row, c) for term in data["terms"] for row in term["matrix"]
+               for c in range(len(row))]
+    entries += [(data["weights"], j) for j in range(len(data.get("weights", [])))]
+    places = [(data, key) for key in ("name", "N", "d", "l", "k", "terms", "weights")] + entries
+    for i, term in enumerate(data["terms"]):
+        places += [(data["terms"], i), (term, "alpha"), (term, "matrix")]
+        places += [(term["alpha"], j) for j in range(len(term["alpha"]))]
+        places += [(term["matrix"], r) for r in range(len(term["matrix"]))]
+    action = draw(st.sampled_from(["entry", "drop", "replace", "replace", "nest", "repeat"]))
+    container, key = draw(st.sampled_from(entries if action == "entry" else places))
+    if action == "entry":
+        container[key] = draw(st.sampled_from(ENTRIES))
+    elif action == "drop":
+        if isinstance(container, dict):
+            container.pop(key, None)
+        else:
+            del container[key]
+    elif action == "replace":
+        container[key] = draw(st.sampled_from(REPLACEMENTS))
+    elif isinstance(container, list) or key in container:
+        value = container[key]
+        if action == "nest":
+            container[key] = draw(st.sampled_from([[value], {"value": value}]))
+        elif isinstance(container, list):
+            container.insert(key, value)
+        else:
+            container[key] = [value, value]
+    return name, data
+
+
+def _edited(name, path, value):
+    """A catalog entry's dict with the value at ``path`` replaced."""
+    data = op_to_dict(catalog(name, 2))
+    container = data
+    for key in path[:-1]:
+        container = container[key]
+    container[path[-1]] = value
+    return name, data
+
+
+class TestExitCodeFuzz:
+    """Every command on a mutated operator file returns 0, 2, 3 or 4 and
+    raises nothing; an input error names a field of the file."""
+
+    # a partner of each catalog entry: korn pairs (same order) and sobolev
+    # pairs (order one less)
+    PARTNERS = {"gradient": (catalog("gradient", 2), grad_power(0, 1, 2)),
+                "sym_gradient": (grad_power(1, 2, 2), grad_power(0, 2, 2)),
+                "divergence": (grad_power(1, 2, 2), grad_power(0, 2, 2))}
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutated_operator(),
+           st.sampled_from(["analyze", "compare", "korn2", "blowup", "sobolev"]),
+           st.booleans())
+    # the findings this harness made: tracebacks (exit 1) before they were mended
+    @example(_edited("gradient", ("N",), LONG_LITERAL), "analyze", False)
+    @example(_edited("gradient", ("terms", 1, "matrix", 0, 0), ENTRIES[0]), "korn2", False)
+    @example(_edited("sym_gradient", ("weights", 0), ENTRIES[1]), "sobolev", False)
+    @example(_edited("divergence", ("terms", 0, "matrix", 0, 1), ENTRIES[0]), "blowup", False)
+    def test_mutated_catalog_files(self, tmp_path, capsys, mutated, command, outer):
+        name, data = mutated
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(data).replace(f'"{LONG_LITERAL}"', LONG_LITERAL))
+        korn, sobolev = self.PARTNERS[name]
+        partner = tmp_path / "partner.json"
+        save_op(sobolev if command == "sobolev" else korn, partner)
+        # the mutated file is the outer operator A only where it keeps the order
+        pair = (["-a", str(partner), "-A", str(path)] if outer and command != "sobolev"
+                else ["-a", str(path), "-A", str(partner)])
+        argv = {
+            "analyze": ["analyze", "--op", str(path)],
+            "compare": ["compare", *pair],
+            "korn2": ["experiment", "korn2", *pair, "--trials", "5"],
+            "blowup": ["experiment", "blowup", *pair, "--grid", "64"],
+            "sobolev": ["experiment", "sobolev", "--mode", "sobolev", *pair,
+                        "--trials", "3", "--grid", "4"],
+        }[command]
+        capsys.readouterr()
+        code = main(argv + ["--out", str(tmp_path / "report.json")])
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
+        if code == 4 and not out.startswith(("NYQUIST_VIOLATION", "ILL_CONDITIONED_QUOTIENT")):
+            assert err.startswith("input error: ") and FIELD_WORDS.search(err), err

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symcheck import numerics
 from symcheck.analysis import find_witness
@@ -42,6 +43,7 @@ from helpers import (
     reference_counterexample_blowup,
     reference_golden_section,
     reference_korn_constant_p2,
+    reference_random_trig_field,
     reference_sobolev_ratio_experiment,
     reference_symbol_at_float,
     reference_symbol_quotient_norm,
@@ -272,6 +274,17 @@ class TestSobolevExperiment:
             rep = sobolev_ratio_experiment(pair, 1.0, trials=5, n_grid=8)
         assert rep.status == "UNSTABLE" and rep.summary["max_ratio"] == 0.0
         assert rep.summary["quotient_dimension"] == 10
+
+    def test_a_quotient_field_past_the_double_range_is_an_input_error(self):
+        # 10^308 fits a double, but A applied to x_1^2 carries a factor 2
+        D = grad_power(1, 1, 2)
+        big = DiffOp("big D", 2, 1, D.l, 1,
+                     {alpha: [[c * 10 ** 308 for c in row] for row in m]
+                      for alpha, m in D.terms.items()})
+        pair = OperatorPair(grad_power(2, 1, 2), big, "sobolev")
+        with pytest.raises(ParameterError, match=r"operator 'big D' applied to x\^\(2, 0\) e_0 "
+                                                 r"is past the double range"):
+            sobolev_ratio_experiment(pair, 1.0, trials=3, n_grid=4)
 
 
 class TestGridField:
@@ -597,8 +610,11 @@ class TestBitIdentity:
             for p in (1, 2, N):
                 assert (lp_norm(GridField("cube", n_grid, values, weights), p).hex()
                         == lp_norm(GridField("cube", n_grid, copy, weights), p).hex())
+        # the derivative fields of bb: (2 pi i m_t) c_m on the phases of u
+        phase = numerics._phase_memo(grid_points(N, n_grid))
         for t in range(N):
-            assert np.array_equal(u.derivative(t).sample(n_grid).values,
+            derivative = {m: (2j * np.pi * m[t]) * c for m, c in u.coeffs.items()}
+            assert np.array_equal(numerics._synthesise(derivative, phase),
                                   reference_trig_derivative(u, n_grid, t))
         for op in (full_gradient(N) if d == 1 else catalog("divergence", N),
                    grad_power(2, d, N)):
@@ -610,3 +626,22 @@ class TestBitIdentity:
             assert all(np.array_equal(Au.coeffs[m], ref.coeffs[m]) for m in ref.coeffs)
             assert np.array_equal(Au.sample(n_grid).values,
                                   reference_trig_sample(ref, n_grid))
+
+    # bands 1 (the rejection of m = 0 is frequent, with N = 1 a third of the
+    # draws) to past 64; each generator draws up to three fields in a row
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(N=st.integers(1, 4), d=st.integers(1, 10),
+           band=st.one_of(st.integers(1, 8), st.integers(64, 100)),
+           n_modes=st.integers(1, 8), draws=st.integers(1, 3), seed=st.integers(0, 2 ** 32))
+    def test_random_trig_field_draw_stream(self, N, d, band, n_modes, draws, seed):
+        """Scalar frequency draws and one normal draw of 2d per mode give the
+        fields, bit for bit, and the generator state of the size-N draws."""
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(draws):
+            u = random_trig_field(rng, N, d, band, n_modes)
+            ref = reference_random_trig_field(ref_rng, N, d, band, n_modes)
+            assert list(u.coeffs) == list(ref.coeffs)
+            assert all(type(x) is int for m in u.coeffs for x in m)
+            assert [[(z.real.hex(), z.imag.hex()) for z in c] for c in u.coeffs.values()] == [
+                [(z.real.hex(), z.imag.hex()) for z in c] for c in ref.coeffs.values()]
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
