@@ -8,6 +8,7 @@ rerunning a command reproduces the output byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -300,6 +301,9 @@ def cmd_experiment(args):
     except tuple(EXPERIMENT_FAILURES) as exc:
         status, code, detailed = EXPERIMENT_FAILURES[type(exc)]
         results = {"detail": str(exc)} if detailed else {}
+        with contextlib.suppress(ParameterError):  # past the double range: the failure stands
+            if pair is not None and (notes := underflow_notes(pair)):
+                results["notes"] = notes
         return config, ops, results, status, code, [f"{status}: {exc}" if detailed else status]
     code = EXIT_OK if status in ("OK", "BOUNDED") else EXIT_HYPOTHESES
     return config, ops, results, status, code, summary

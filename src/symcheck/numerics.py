@@ -82,22 +82,15 @@ class IllConditionedQuotient(Exception):
 
 @dataclass
 class GridField:
-    """Sampled R^d-valued field on a uniform grid over [0,1)^N or [0,1]^N."""
+    """Sampled R^d-valued field on the midpoint grid of ``grid_points``: one
+    rule for the torus [0,1)^N and the cube [0,1]^N."""
 
-    domain: str  # "torus" or "cube"
-    n: int
     values: np.ndarray  # shape (n,)*N + (d,)
     weights: Optional[np.ndarray] = None  # per-component quadratic weights
 
     def __post_init__(self):
-        if self.domain not in ("torus", "cube"):
-            raise ValueError("domain must be 'torus' or 'cube'")
         if not np.isfinite(self.values).all():
             raise ValueError("GridField values must be finite")
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[-1]
 
 
 def grid_points(N: int, n: int) -> np.ndarray:
@@ -189,12 +182,13 @@ class PlaneWaveFamily:
     modes: tuple
 
     def __post_init__(self):
+        if not self.modes or not all(isinstance(m, (int, np.integer)) and m > 0
+                                     for m in self.modes):
+            raise ValueError("modes must be positive integers")
         xi, v = self.witness.xi, self.witness.v
         sym = self.calA.symbol().evaluate(list(xi))
         if any(c != 0 for c in sym.apply(list(v))):
             raise ValueError("witness does not lie in the symbol kernel")
-        if not any(m > 0 for m in self.modes):
-            raise ValueError("modes must be positive integers")
 
 
 def _to_complex_vec(vec, name: str) -> np.ndarray:
@@ -210,7 +204,7 @@ def _wave(fam: PlaneWaveFamily, n: int, X: np.ndarray) -> np.ndarray:
 def _u_field(fam: PlaneWaveFamily, wave: np.ndarray) -> GridField:
     """u_n from its wave."""
     v = _to_complex_vec(fam.witness.v, "the witness v")
-    return GridField(domain="torus", n=wave.shape[0], values=np.real(v * wave[..., None]))
+    return GridField(np.real(v * wave[..., None]))
 
 
 def _op_field(op: DiffOp, w, n: int, wave: np.ndarray) -> GridField:
@@ -221,17 +215,12 @@ def _op_field(op: DiffOp, w, n: int, wave: np.ndarray) -> GridField:
         values = np.real(wv * wave[..., None])
     else:
         values = np.zeros(wave.shape + (op.l,))
-    return GridField(domain="torus", n=wave.shape[0], values=values, weights=_float_terms(op)[1])
+    return GridField(values, _float_terms(op)[1])
 
 
 def _witness_image(op: DiffOp, fam: PlaneWaveFamily) -> list:
     """op[xi] v, exactly."""
     return op.symbol().evaluate(list(fam.witness.xi)).apply(list(fam.witness.v))
-
-
-def planewave_field(fam: PlaneWaveFamily, n: int, n_grid: int) -> GridField:
-    """Sample u_n on the torus grid."""
-    return _u_field(fam, _wave(fam, n, grid_points(len(fam.witness.xi), n_grid)))
 
 
 def apply_op_planewave(
@@ -447,12 +436,12 @@ def counterexample_blowup(
     PlaneWaveFamily checks calA[xi] v = 0 exactly, while the left-hand norms
     grow like n^k."""
     modes = tuple(sorted(modes))
+    fam = PlaneWaveFamily(witness=witness, calA=pair.calA, modes=modes)
     if n_grid < 8 * max(modes):
         raise NyquistViolation(
             f"grid {n_grid} too coarse for mode {max(modes)} (need >= {8*max(modes)})"
         )
     _check_grid(pair.calA.N, n_grid)
-    fam = PlaneWaveFamily(witness=witness, calA=pair.calA, modes=modes)
     report = ExperimentReport(
         name="counterexample_blowup",
         parameters={
@@ -494,29 +483,16 @@ def counterexample_blowup(
 
 
 # ---------------------------------------------------------------------------
-# trigonometric fields
+# trigonometric fields: u(x) = sum_m Re[c_m exp(2 pi i m . x)] is its map
+# from integer frequency tuples m to complex (d,) coefficients c_m
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TrigField:
-    """u(x) = sum_m Re[c_m exp(2 pi i m . x)] with integer frequencies."""
-
-    N: int
-    d: int
-    coeffs: dict  # freq tuple -> complex ndarray (d,)
-
-    def sample(self, n_grid: int, domain: str = "torus") -> GridField:
-        return GridField(domain=domain, n=n_grid, values=_synthesise(
-            self.coeffs, _phase_memo(grid_points(self.N, n_grid))))
-
-    def apply(self, op: DiffOp) -> "TrigField":
-        """op applied to u; the frequencies keep their order."""
-        freqs = np.array(list(self.coeffs), dtype=float).reshape(-1, self.N)
-        symbols = float_symbol(op)(freqs).astype(complex)
-        return TrigField(N=self.N, d=op.l, coeffs={
-            m: (2j * np.pi) ** op.k * (S @ c)
-            for (m, c), S in zip(self.coeffs.items(), symbols)})
+def trig_apply(op: DiffOp, coeffs: dict) -> dict:
+    """op applied to the trig field ``coeffs``; the frequencies keep their order."""
+    freqs = np.array(list(coeffs), dtype=float).reshape(-1, op.N)
+    symbols = float_symbol(op)(freqs).astype(complex)
+    return {m: (2j * np.pi) ** op.k * (S @ c) for (m, c), S in zip(coeffs.items(), symbols)}
 
 
 def _phase(X: np.ndarray, m) -> np.ndarray:
@@ -559,7 +535,9 @@ def _synthesise(coeffs: dict, phase) -> np.ndarray:
 
 def random_trig_field(
     rng: np.random.Generator, N: int, d: int, band: int, n_modes: int
-) -> TrigField:
+) -> dict:
+    """n_modes nonzero frequencies in [-band, band]^N with standard complex
+    normal coefficients; a repeated frequency sums its coefficients."""
     coeffs = {}
     for _ in range(n_modes):
         # scalar draws: the values and generator state of one draw of size N
@@ -570,7 +548,7 @@ def random_trig_field(
         z = rng.standard_normal(2 * d)  # the stream of two draws of d
         c = z[:d] + 1j * z[d:]
         coeffs[m] = coeffs.get(m, 0) + c
-    return TrigField(N=N, d=d, coeffs=coeffs)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -661,15 +639,15 @@ def bb_ratio_experiment(
     for _ in range(trials):
         # exact per-frequency projection onto ker of the div^k symbol
         proj = {}
-        for m, c in random_trig_field(rng, N, M_k, BB_BAND, BB_MODES).coeffs.items():
+        for m, c in random_trig_field(rng, N, M_k, BB_BAND, BB_MODES).items():
             sigma, nrm2, nrm = symbol_row(m)
             # ndarray.dot: the products of @ and np.linalg.norm, without wrappers
             proj[m] = c = c - sigma * sigma.dot(c) / nrm2
             max_residual = max(max_residual, abs(sigma.dot(c)) /
                                (math.sqrt(c.real.dot(c.real) + c.imag.dot(c.imag)) * nrm + 1e-300))
-        vf = GridField(domain="cube", n=n_grid, values=_synthesise(proj, phase))
+        vf = GridField(_synthesise(proj, phase))
         # phi: bump times a random low-frequency trig combination
-        phi_t = random_trig_field(rng, N, M_k, 2, 3).coeffs
+        phi_t = random_trig_field(rng, N, M_k, 2, 3)
         phi_core = _synthesise(phi_t, phase)
         phi = bump[..., None] * phi_core
         # D phi analytically: product rule on bump * trig
@@ -679,13 +657,7 @@ def bb_ratio_experiment(
             dphi[..., t] = dbump[t][..., None] * phi_core + bump[..., None] * dcore
         integral = abs(float(np.add.reduce(np.add.reduce(vf.values * phi, axis=-1), axis=None)
                              / points))
-        v_l1 = lp_norm(vf, 1)
-        dphi_flat = GridField(
-            domain="cube", n=n_grid,
-            values=dphi.reshape(X.shape[:-1] + (M_k * N,)),
-        )
-        dphi_lN = lp_norm(dphi_flat, N)
-        denom = v_l1 * dphi_lN
+        denom = lp_norm(vf, 1) * lp_norm(GridField(dphi.reshape(X.shape[:-1] + (M_k * N,))), N)
         ratios.append(integral / denom if denom > 0 else 0.0)
     report.trials = [{"ratio": r} for r in ratios]
     report.summary = {
@@ -755,14 +727,11 @@ def sobolev_ratio_experiment(
         local_rng = np.random.default_rng(seed)
         for _ in range(trials):
             u = random_trig_field(local_rng, N, pair.calA.d, band, 5)
-            Au = _synthesise(u.apply(pair.A).coeffs, phase)
+            Au = _synthesise(trig_apply(pair.A, u), phase)
             resid = Au.reshape(-1) - Q @ (Q.T @ Au.reshape(-1))
-            num = GridField(domain="cube", n=ng, values=resid.reshape(Au.shape),
-                            weights=_float_terms(pair.A)[1])
-            den_field = GridField(domain="cube", n=ng,
-                                  values=_synthesise(u.apply(pair.calA).coeffs, phase),
-                                  weights=_float_terms(pair.calA)[1])
-            den = lp_norm(den_field, p)
+            num = GridField(resid.reshape(Au.shape), _float_terms(pair.A)[1])
+            den = lp_norm(GridField(_synthesise(trig_apply(pair.calA, u), phase),
+                                    _float_terms(pair.calA)[1]), p)
             out.append(lp_norm(num, p_star) / den if den > 0 else 0.0)
         return out
 

@@ -42,7 +42,6 @@ from symcheck.numerics import (
     INFINITE_RATIO,
     ExperimentReport,
     GridField,
-    TrigField,
     grid_points,
     lp_norm,
 )
@@ -359,11 +358,12 @@ def reference_symbol_quotient_norm(pair, xi):
     return float(np.linalg.norm(Sb @ pinv, 2))
 
 
-def reference_trig_sample(u, n_grid):
-    """Values of u on the n_grid^N grid."""
-    X = grid_points(u.N, n_grid)
-    vals = np.zeros((n_grid,) * u.N + (u.d,))
-    for m, c in u.coeffs.items():
+def reference_trig_sample(u, N, n_grid):
+    """Values of the trig field u (frequency -> coefficients) on the
+    n_grid^N grid."""
+    X = grid_points(N, n_grid)
+    vals = np.zeros((n_grid,) * N + (len(next(iter(u.values()))),))
+    for m, c in u.items():
         phase = np.exp(np.tensordot(X, 2j * np.pi * np.array(m, dtype=float),
                                     axes=([-1], [0])))
         vals += np.real(c * phase[..., None])
@@ -371,19 +371,19 @@ def reference_trig_sample(u, n_grid):
 
 
 def reference_trig_apply(u, op):
-    """op applied to u, frequency by frequency."""
+    """op applied to the trig field u, frequency by frequency."""
     out = {}
-    for m, c in u.coeffs.items():
+    for m, c in u.items():
         S = reference_symbol_at_float(op, np.array(m, dtype=float)).astype(complex)
         out[m] = (2j * np.pi) ** op.k * (S @ c)
-    return TrigField(N=u.N, d=op.l, coeffs=out)
+    return out
 
 
-def reference_trig_derivative(u, n_grid, t):
+def reference_trig_derivative(u, N, n_grid, t):
     """Values of d/dx_t u on the n_grid^N grid."""
-    X = grid_points(u.N, n_grid)
-    dcore = np.zeros((n_grid,) * u.N + (u.d,))
-    for m, c in u.coeffs.items():
+    X = grid_points(N, n_grid)
+    dcore = np.zeros((n_grid,) * N + (len(next(iter(u.values()))),))
+    for m, c in u.items():
         phase = np.exp(np.tensordot(
             X, 2j * np.pi * np.array(m, dtype=float), axes=([-1], [0])))
         dcore += np.real((2j * np.pi * m[t]) * c * phase[..., None])
@@ -487,7 +487,7 @@ def reference_random_trig_field(rng, N, d, band, n_modes):
                 break
         c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         coeffs[m] = coeffs.get(m, 0) + c
-    return TrigField(N=N, d=d, coeffs=coeffs)
+    return coeffs
 
 
 def reference_bb_ratio_experiment(k, N, trials, n_grid, seed=0, band=4, n_modes=6):
@@ -525,7 +525,7 @@ def reference_bb_ratio_experiment(k, N, trials, n_grid, seed=0, band=4, n_modes=
     for _ in range(trials):
         v = reference_random_trig_field(rng, N, M_k, band, n_modes)
         proj = {}
-        for m, c in v.coeffs.items():
+        for m, c in v.items():
             sigma = np.array([math.prod(float(x) ** e for x, e in zip(m, b) if e)
                               for b in betas], dtype=float)
             nrm2 = float(sigma @ sigma)
@@ -534,11 +534,9 @@ def reference_bb_ratio_experiment(k, N, trials, n_grid, seed=0, band=4, n_modes=
             proj[m] = c
             max_residual = max(max_residual, abs(sigma @ c) /
                                (np.linalg.norm(c) * math.sqrt(nrm2) + 1e-300))
-        v = TrigField(N=N, d=M_k, coeffs=proj)
-        vf = GridField(domain="cube", n=n_grid,
-                       values=numerics._synthesise(v.coeffs, _reference_phase(X)))
+        vf = GridField(numerics._synthesise(proj, _reference_phase(X)))
         phi_t = reference_random_trig_field(rng, N, M_k, 2, 3)
-        phi_core = numerics._synthesise(phi_t.coeffs, _reference_phase(X))
+        phi_core = numerics._synthesise(phi_t, _reference_phase(X))
         phi = bump[..., None] * phi_core
         if np.max(np.abs(phi)) == 0.0:
             ratios.append(0.0)
@@ -546,12 +544,11 @@ def reference_bb_ratio_experiment(k, N, trials, n_grid, seed=0, band=4, n_modes=
         dphi = np.zeros(X.shape[:-1] + (M_k, N))
         for t in range(N):
             dcore = numerics._synthesise({m: (2j * np.pi * m[t]) * c
-                                          for m, c in phi_t.coeffs.items()}, _reference_phase(X))
+                                          for m, c in phi_t.items()}, _reference_phase(X))
             dphi[..., t] = dbump[t][..., None] * phi_core + bump[..., None] * dcore
         integral = abs(float(np.mean(np.sum(vf.values * phi, axis=-1))))
         v_l1 = lp_norm(vf, 1)
-        dphi_lN = lp_norm(GridField(domain="cube", n=n_grid,
-                                    values=dphi.reshape(X.shape[:-1] + (M_k * N,))), N)
+        dphi_lN = lp_norm(GridField(dphi.reshape(X.shape[:-1] + (M_k * N,))), N)
         denom = v_l1 * dphi_lN
         ratios.append(integral / denom if denom > 0 else 0.0)
     report.trials = [{"ratio": r} for r in ratios]
@@ -585,11 +582,11 @@ def reference_sobolev_ratio_experiment(pair, p, trials, n_grid, seed=0, s_max=DE
         out = []
         for _ in range(trials):
             u = reference_random_trig_field(rng, N, pair.calA.d, band, 5)
-            Au = numerics._synthesise(u.apply(pair.A).coeffs, _reference_phase(X))
-            cAu = numerics._synthesise(u.apply(pair.calA).coeffs, _reference_phase(X))
+            Au = numerics._synthesise(numerics.trig_apply(pair.A, u), _reference_phase(X))
+            cAu = numerics._synthesise(numerics.trig_apply(pair.calA, u), _reference_phase(X))
             resid = Au.reshape(-1) - Q @ (Q.T @ Au.reshape(-1))
-            num = GridField("cube", ng, resid.reshape(Au.shape), weights(pair.A))
-            den = lp_norm(GridField("cube", ng, cAu, weights(pair.calA)), p)
+            num = GridField(resid.reshape(Au.shape), weights(pair.A))
+            den = lp_norm(GridField(cAu, weights(pair.calA)), p)
             out.append(lp_norm(num, p_star) / den if den > 0 else 0.0)
         return out
 
@@ -625,7 +622,7 @@ def reference_counterexample_blowup(pair, witness, modes, n_grid, seed=0):
             wv = np.array([complex(float(c), 0.0) for c in w]) * (2j * np.pi * n) ** A.k
             phase = np.tensordot(grid_points(N, n_grid), 2j * np.pi * n * xi, axes=([-1], [0]))
             lhs = np.real(wv * np.exp(phase)[..., None])
-        lhs_norms.append(lp_norm(GridField("torus", n_grid, lhs, weights), 2))
+        lhs_norms.append(lp_norm(GridField(lhs, weights), 2))
         phase = np.tensordot(grid_points(N, n_grid), 2j * np.pi * n * xi, axes=([-1], [0]))
         fields.append(np.real(v * np.exp(phase)[..., None]).reshape(-1))
     F = np.stack(fields)

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import os
 import random
 import re
@@ -9,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import symcheck
 from symcheck import analysis, cli, exact, groebner, numerics, operators
@@ -230,6 +232,119 @@ class TestBudget:
         assert time.perf_counter() - start < 1
         err = capsys.readouterr().err
         assert err.startswith("budget exceeded: 155117520 minors of size 15 of a 30x15 symbol")
+
+
+def _grid_side(N):
+    """The largest n with n^N grid points within the grid budget."""
+    return max(n for n in range(1, 1025) if n ** N <= numerics.GRID_MAX_POINTS)
+
+
+# D^k on scalars in N variables (N^k rows, at most 250): its N^k minors of
+# size 1 pass, and its origin test needs C(N k, N - 1) Macaulay columns
+MACAULAY_SHAPES = [(N, k) for N in range(2, 11) for k in range(2, 7)
+                   if N ** k <= 250 and math.comb(N * k, N - 1) > groebner.MACAULAY_MAX_COLUMNS]
+
+
+@st.composite
+def past_a_budget(draw):
+    """(kind, shape): a problem whose closed-form count passes its cap."""
+    kind = draw(st.sampled_from(["minors", "macaulay", "catalog", "bb_field", "grid"]))
+    if kind == "minors":
+        # the rank-d symbol xi_1 M of a Vandermonde M, l x d: C(l, d) minors of size d
+        d = draw(st.integers(2, 8))
+        l_min = next(l for l in itertools.count(d) if math.comb(l, d) > exact.MINORS_MAX)
+        return kind, (draw(st.integers(1, 3)), d, draw(st.integers(l_min, l_min + 8)))
+    if kind == "macaulay":
+        return kind, draw(st.sampled_from(MACAULAY_SHAPES))
+    if kind == "catalog":
+        name = draw(st.sampled_from(["gradient", "divergence", "laplacian", "bilaplacian",
+                                     "d2_laplacian", "div_k"]))
+        if name == "div_k":  # C(N + k - 1, N - 1) components
+            N = draw(st.integers(2, 40))
+            k_min = next(k for k in itertools.count(1)
+                         if operators.multiindex_count(N, k) > operators.DIV_K_MAX_COMPONENTS)
+            return kind, (name, N, draw(st.integers(k_min, k_min + 20)))
+        N_min = next(N for N in itertools.count(1)
+                     if operators.catalog_integers(name, N) > operators.CATALOG_MAX_INTEGERS)
+        return kind, (name, draw(st.integers(N_min, N_min + 2000)), None)
+    if kind == "bb_field":
+        # a grid within its budget, a k whose div^k symbol stays in the double
+        # range, and D phi past its bytes: 8 n^N C(N + k - 1, N - 1) N
+        N = draw(st.integers(2, 6))
+        n = draw(st.integers(max(1, _grid_side(N) // 4), _grid_side(N)))
+        ks = [k for k in range(1, 300)
+              if math.log2(math.comb(N + k - 1, N - 1)) + 2 * k * math.log2(numerics.BB_BAND) <= 1000
+              and 8 * n ** N * math.comb(N + k - 1, N - 1) * N > numerics.BB_FIELD_MAX_BYTES]
+        assume(ks)
+        return kind, (N, n, draw(st.sampled_from(ks[:10])))
+    # n^N grid points past the budget; sobolev also samples on the 2n grid
+    experiment = draw(st.sampled_from(["bb", "blowup", "sobolev"]))
+    N = draw(st.integers(2, {"bb": 6, "blowup": 3, "sobolev": 4}[experiment]))
+    side = _grid_side(N) // 2 if experiment == "sobolev" else _grid_side(N)
+    return kind, (experiment, N, draw(st.integers(side + 1, side + 100)))
+
+
+class TestBudgetProperty:
+    """Every problem whose closed-form count passes its cap exits 3 before
+    the work that count measures, well under a second."""
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started on a problem past its budget")
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(past_a_budget())
+    def test_exit_3_before_any_work(self, tmp_path, capsys, monkeypatch, problem):
+        kind, shape = problem
+        path = tmp_path / "op.json"
+        with monkeypatch.context() as patch:
+            if kind == "minors":
+                N, d, l = shape
+                M = [[Fraction((i + 1) ** j) for j in range(d)] for i in range(l)]
+                save_op(DiffOp("vandermonde", N, d, l, 1, {(1,) + (0,) * (N - 1): M}), path)
+                patch.setattr(exact, "_bareiss_det", self.refuse)
+                argv, words = ["analyze", "--op", str(path)], f"minors of size {d} of a {l}x{d}"
+            elif kind == "macaulay":
+                N, k = shape
+                save_op(grad_power(k, 1, N), path)
+                patch.setattr(groebner, "forward_eliminate", self.refuse)
+                argv, words = ["analyze", "--op", str(path)], "Macaulay"
+            elif kind == "catalog":
+                name, N, k = shape
+                patch.setattr(operators.MultiPoly, "variable", self.refuse)
+                patch.setattr(operators, "monomials_of_degree", self.refuse)
+                argv = ["catalog", name, "--N", str(N)] + ([] if k is None else ["--k", str(k)])
+                words = "components" if name == "div_k" else "integers"
+            elif kind == "bb_field":
+                N, n, k = shape
+                patch.setattr(numerics, "grid_points", self.refuse)
+                patch.setattr(numerics, "monomials_of_degree", self.refuse)
+                argv = ["experiment", "bb", "--N", str(N), "--k", str(k), "--grid", str(n)]
+                words = "FIELD_BUDGET_EXCEEDED"
+            else:
+                experiment, N, n = shape
+                calA, A = {"bb": (None, None),
+                           "blowup": (catalog("divergence", N), grad_power(1, N, N)),
+                           "sobolev": (catalog("gradient", N), grad_power(0, 1, N))}[experiment]
+                pair = []
+                if calA is not None:
+                    save_op(calA, tmp_path / "calA.json")
+                    save_op(A, tmp_path / "A.json")
+                    pair = ["-a", str(tmp_path / "calA.json"), "-A", str(tmp_path / "A.json")]
+                patch.setattr(numerics, "grid_points", self.refuse)
+                argv = (["experiment", experiment, *pair, "--grid", str(n)]
+                        + {"bb": ["--N", str(N)], "blowup": [],
+                           "sobolev": ["--mode", "sobolev"]}[experiment])
+                words = "GRID_BUDGET_EXCEEDED"
+            capsys.readouterr()
+            start = time.perf_counter()
+            code = main(argv + ["--out", str(tmp_path / "r.json")])
+            elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert code == 3, (argv, out, err)
+        assert words in out + err
+        assert elapsed < 0.5, (argv, elapsed)
 
 
 class TestCompare:
@@ -546,6 +661,39 @@ class TestDoubleRange:
         assert read(out)["results"]["notes"] == [
             "certified-by-Parseval reduction at p = 2 only",
             "operator 'D^1': weights[1] is nonzero but its double is 0.0"]
+
+    def test_a_failed_experiment_keeps_the_underflow_notes(self, ops_dir, tmp_path):
+        # the weight 0.0 hides the first row of sym_gradient(2), so the
+        # quotient norm runs past 1e6
+        calA = self.write(tmp_path / "w.json", catalog("sym_gradient", 2),
+                          weights=[self.TINY, "1", "2"])
+        out = tmp_path / "r.json"
+        code = main(["experiment", "korn2", "-a", calA, "-A", str(ops_dir / "fullgrad2.json"),
+                     "--trials", "50", "--out", str(out)])
+        rep = read(out)
+        assert code == 2 and rep["status"] == "UNBOUNDED_SUSPECTED"
+        assert rep["results"] == {
+            "detail": "running supremum exceeded 1e6",
+            "notes": ["operator 'sym_gradient': weights[0] is nonzero but its double is 0.0"]}
+
+    @pytest.mark.parametrize("big,term,argv,code,status", [
+        # bilaplacian(2) lacks complex constant rank
+        ("d2_laplacian", 0, ["blowup", "-a", "bilap2.json", "-A", "big.json", "--grid", "64"],
+         2, "HYPOTHESES_NOT_MET"),
+        ("gradient", 1, ["sobolev", "--mode", "sobolev", "-a", "big.json", "-A", "id2.json",
+                         "--grid", "600"], 3, "GRID_BUDGET_EXCEEDED"),
+    ])
+    def test_a_failure_before_the_conversion_keeps_its_exit_code(self, ops_dir, tmp_path, big,
+                                                                term, argv, code, status):
+        # the experiment fails before it converts the entry past the double
+        # range; the report adds no note, and the exit code is not 4
+        self.write(ops_dir / "big.json", catalog(big, 2), (term, 0, 0, self.HUGE))
+        save_op(grad_power(0, 1, 2), ops_dir / "id2.json")
+        out = tmp_path / "r.json"
+        argv = [str(ops_dir / a) if a.endswith(".json") else a for a in argv]
+        assert main(["experiment", *argv, "--out", str(out)]) == code
+        rep = read(out)
+        assert rep["status"] == status and "notes" not in rep["results"]
 
 
 class TestReportPaths:
